@@ -81,9 +81,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.value.shape}{tag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":

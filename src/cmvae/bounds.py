@@ -20,23 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .distributions import DiagonalGaussian, standard_normal_log_prob
+from .distributions import sample_per_row, standard_normal_log_prob
 from .seeding import per_row_normal
 
 ESTIMATOR_KINDS = ("elbo", "iwae", "cubo")
-
-# Joint-density evaluation counter (rows scored since last reset); used to
-# verify the O(N) cost structure of the many-modality objective.
-_joint_rows_scored = 0
-
-
-def reset_joint_eval_count() -> None:
-    global _joint_rows_scored
-    _joint_rows_scored = 0
-
-
-def joint_eval_count() -> int:
-    return _joint_rows_scored
 
 
 @dataclass(frozen=True)
@@ -57,9 +44,7 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int)
     Modalities are folded in sorted-name order so the result is bit-stable
     under relabeling of the modality list.
     """
-    global _joint_rows_scored
     z, log_q = model.joint_posterior_samples(obs_by_modality, num_samples, seed)
-    _joint_rows_scored += z.shape[0]
     log_p = standard_normal_log_prob(z)
     liks = model.decode_all(z)
     for name in sorted(liks):
@@ -118,9 +103,6 @@ def unimodal_marginal(model, name: str, obs, num_samples: int, seed: int) -> Ten
     q = model.encode_unimodal(name, obs)
     noise = per_row_normal(seed, f"unimodal_marginal.{name}", [(r,) for r in obs],
                            (num_samples, model.latent_dim))
-    mean = q.mean.reshape(q.mean.shape[0], 1, q.mean.shape[1])
-    log_var = q.log_var.reshape(q.log_var.shape[0], 1, q.log_var.shape[1])
-    z = mean + (0.5 * log_var).exp() * Tensor.const(noise)
-    log_q = DiagonalGaussian(mean=mean, log_var=log_var).log_prob(z)
+    z, log_q = sample_per_row(q, noise)
     log_w = standard_normal_log_prob(z) + model.decode(name, z).log_prob(obs[:, None, :]) - log_q
     return bound_from_log_weights(log_w, "iwae")

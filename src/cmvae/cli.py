@@ -110,11 +110,9 @@ def _cmd_propagate(args) -> int:
     csv_out = os.path.join(cfg.output_dir, f"{cfg.run_id}.propagation.csv")
     with open(csv_out, "w") as fh:
         fh.write(training.METRICS_SCHEMA + "\n")
-        fh.write("phase," + ",".join(training.METRICS_COLUMNS) + "\n")
+        fh.write(training.csv_line(["phase"] + training.METRICS_COLUMNS))
         for phase, row in (("before", report.metrics_before), ("after", report.metrics_after)):
-            cells = [phase, str(row["run_id"]), str(row["step"])]
-            cells += [training._format(row[c]) for c in training.METRICS_COLUMNS[2:]]
-            fh.write(",".join(cells) + "\n")
+            fh.write(training.csv_line([phase] + [row[c] for c in training.METRICS_COLUMNS]))
     print(f"propagation report written to {out}")
     return EXIT_OK
 

@@ -17,16 +17,11 @@ Generation, pairing and subsetting are pure functions of (spec, seed).
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .seeding import derive_rng, tag
-
-DATASET_MAGIC = b"CMDS"
-DATASET_VERSION = 1
 
 
 class DegenerateMapError(RuntimeError):
@@ -224,77 +219,6 @@ def _stratified_choice(labels: np.ndarray, keep_n: int, rng) -> np.ndarray:
         take = min(counts[int(c)], pool.size)
         chosen.append(rng.choice(pool, size=take, replace=False))
     return np.sort(np.concatenate(chosen))
-
-
-# -- persistence ----------------------------------------------------------------
-
-def save_dataset(ds: PairedDataset, path: str) -> None:
-    """Flat binary export: CMDS magic, version, spec header, then the arrays."""
-    names = ds.spec.modality_names
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIIdqI", DATASET_VERSION, ds.spec.num_classes, len(names),
-                             ds.spec.noise_scale, ds.spec.map_seed, len(ds)))
-        fh.write(struct.pack("<Iq", ds.pairs_per_instance, ds.pair_seed))
-        for m, name in enumerate(names):
-            encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<III", ds.spec.obs_dims[m], ds.spec.private_dims[m],
-                                 0 if ds.spec.likelihoods[m] == "bernoulli" else 1))
-            fh.write(struct.pack("<I", len(ds.labels[name])))
-        for name in names:
-            fh.write(ds.observations[name].astype("<f8").tobytes())
-            fh.write(ds.labels[name].astype("<i8").tobytes())
-        fh.write(ds.pairs.astype("<i8").tobytes())
-        fh.write(ds.related.astype("<u1").tobytes())
-
-
-def load_dataset(path: str) -> PairedDataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a CMDS dataset file")
-        version, num_classes, n_mod, noise_scale, map_seed, n_pairs = struct.unpack(
-            "<IIIdqI", fh.read(32))
-        if version != DATASET_VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        ppi, pair_seed = struct.unpack("<Iq", fh.read(12))
-        names, obs_dims, private_dims, likelihoods, counts = [], [], [], [], []
-        for _ in range(n_mod):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            names.append(fh.read(name_len).decode())
-            d, p, lik = struct.unpack("<III", fh.read(12))
-            (count,) = struct.unpack("<I", fh.read(4))
-            obs_dims.append(d)
-            private_dims.append(p)
-            likelihoods.append("bernoulli" if lik == 0 else "gaussian")
-            counts.append(count)
-        spec = FactorSpec(num_classes=num_classes, modality_names=tuple(names),
-                          obs_dims=tuple(obs_dims), private_dims=tuple(private_dims),
-                          likelihoods=tuple(likelihoods), noise_scale=noise_scale,
-                          map_seed=map_seed)
-        observations, labels = {}, {}
-        for name, d, count in zip(names, obs_dims, counts):
-            observations[name] = np.frombuffer(fh.read(8 * d * count), dtype="<f8").reshape(count, d).copy()
-            labels[name] = np.frombuffer(fh.read(8 * count), dtype="<i8").copy()
-        pairs = np.frombuffer(fh.read(8 * n_pairs * n_mod), dtype="<i8").reshape(n_pairs, n_mod).copy()
-        related = np.frombuffer(fh.read(n_pairs), dtype="<u1").copy()
-    return PairedDataset(spec=spec, observations=observations, labels=labels,
-                         pairs=pairs, related=related, pairs_per_instance=ppi,
-                         pair_seed=pair_seed)
-
-
-def dump_pairs_csv(ds: PairedDataset, path: str) -> None:
-    """Debug dump, one row per pair: indices, relatedness flag, class labels."""
-    names = ds.spec.modality_names
-    lab = ds.pair_labels()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"idx_{n}" for n in names] + ["related"] + [f"label_{n}" for n in names])
-        for p in range(len(ds)):
-            writer.writerow([int(ds.pairs[p, m]) for m in range(len(names))]
-                            + [int(ds.related[p])]
-                            + [int(lab[n][p]) for n in names])
 
 
 def make_related_dataset(spec: FactorSpec, items_per_modality: int, seed: int,

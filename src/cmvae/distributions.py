@@ -39,6 +39,12 @@ class DiagonalGaussian:
     def rsample(self, noise) -> Tensor:
         return rsample(self, noise)
 
+    def per_row(self) -> "DiagonalGaussian":
+        """(B, L) parameters viewed as (B, 1, L), to broadcast over S draws per row."""
+        rows, dim = self.mean.shape
+        return DiagonalGaussian(mean=self.mean.reshape(rows, 1, dim),
+                                log_var=self.log_var.reshape(rows, 1, dim))
+
 
 @dataclass(frozen=True)
 class FactorBernoulli:
@@ -128,6 +134,14 @@ def rsample(d: DiagonalGaussian, noise) -> Tensor:
     """
     eps = _as_tensor(noise)
     return d.mean + (0.5 * d.log_var).exp() * eps
+
+
+def sample_per_row(q: DiagonalGaussian, noise) -> tuple[Tensor, Tensor]:
+    """Draw (B, S, L) samples from per-row Gaussians with (B, L) parameters
+    and (B, S, L) noise; returns (z, log q(z)), shapes (B, S, L) and (B, S)."""
+    q = q.per_row()
+    z = q.rsample(noise)
+    return z, q.log_prob(z)
 
 
 def gaussian_product(components: list[DiagonalGaussian],

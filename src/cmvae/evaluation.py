@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .distributions import DiagonalGaussian
-from .models import ModalitySpec, MultimodalModel
+from .distributions import DiagonalGaussian, sample_per_row
+from .models import ModalitySpec
 from .seeding import derive_rng, per_row_normal, tag
 
 
@@ -190,11 +190,7 @@ class AnalyticLinearModel:
         batch = q.mean.shape[0]
         rows = [tuple(obs[n][i] for n in self.oracle.names) for i in range(batch)]
         noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
-        mean = q.mean.reshape(batch, 1, self.latent_dim)
-        log_var = q.log_var.reshape(batch, 1, self.latent_dim)
-        z = mean + (0.5 * log_var).exp() * Tensor.const(noise)
-        log_q = DiagonalGaussian(mean=mean, log_var=log_var).log_prob(z)
-        return z, log_q
+        return sample_per_row(q, noise)
 
     def encode_unimodal(self, name: str, obs) -> DiagonalGaussian:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))

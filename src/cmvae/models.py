@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, affine, concat
-from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_product
+from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_product, sample_per_row
 from .seeding import derive_rng, per_row_normal, tag
 
 JOINT_KINDS = ("explicit", "poe", "moe")
@@ -78,12 +78,6 @@ class MultimodalModel:
                 return m
         raise UnknownModalityError(name)
 
-    def encoder_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("enc.")}
-
-    def decoder_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("dec.")}
-
     # -- encoding ----------------------------------------------------------------
 
     def _mlp_gaussian_head(self, prefix: str, x: np.ndarray) -> DiagonalGaussian:
@@ -134,21 +128,17 @@ class MultimodalModel:
         noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
 
         if self.joint_kind in ("explicit", "poe"):
-            q = self.encode_joint(obs_by_modality)
-            z = _broadcast_rsample(q, noise)
-            return z, _broadcast_log_prob(q, z)
+            return sample_per_row(self.encode_joint(obs_by_modality), noise)
 
         m = self.num_modalities
         if num_samples % m != 0:
             raise ValueError(f"mixture posterior needs num_samples divisible by {m}, got {num_samples}")
         per = num_samples // m
-        comps = [self.encode_unimodal(spec.name, obs_by_modality[spec.name])
+        comps = [self.encode_unimodal(spec.name, obs_by_modality[spec.name]).per_row()
                  for spec in self.modalities]
-        parts = [_broadcast_rsample(q, noise[:, k * per:(k + 1) * per, :])
-                 for k, q in enumerate(comps)]
+        parts = [q.rsample(noise[:, k * per:(k + 1) * per, :]) for k, q in enumerate(comps)]
         z = concat(parts, axis=1)
-        log_q = _mixture_log_prob(comps, z)
-        return z, log_q
+        return z, _mixture_log_prob(comps, z)
 
     # -- decoding ---------------------------------------------------------------------
 
@@ -196,25 +186,12 @@ class MultimodalModel:
         return self.decode(target, z).mean.value
 
 
-def _broadcast_rsample(q: DiagonalGaussian, noise: np.ndarray) -> Tensor:
-    """Draw (B, S, L) samples from per-row Gaussians with (B, L) parameters."""
-    mean = q.mean.reshape(q.mean.shape[0], 1, q.mean.shape[1])
-    log_var = q.log_var.reshape(q.log_var.shape[0], 1, q.log_var.shape[1])
-    return mean + (0.5 * log_var).exp() * Tensor.const(noise)
-
-
-def _broadcast_log_prob(q: DiagonalGaussian, z: Tensor) -> Tensor:
-    mean = q.mean.reshape(q.mean.shape[0], 1, q.mean.shape[1])
-    log_var = q.log_var.reshape(q.log_var.shape[0], 1, q.log_var.shape[1])
-    return DiagonalGaussian(mean=mean, log_var=log_var).log_prob(z)
-
-
 def _mixture_log_prob(comps: list[DiagonalGaussian], z: Tensor) -> Tensor:
-    """Equal-weight Gaussian mixture density, log(1/M sum_k q_k(z))."""
+    """Equal-weight Gaussian mixture density, log(1/M sum_k q_k(z)), per-row components."""
     log_m = float(np.log(len(comps)))
     acc = None
     for q in comps:
-        term = _broadcast_log_prob(q, z)
+        term = q.log_prob(z)
         acc = term if acc is None else _logaddexp(acc, term)
     return acc - log_m
 

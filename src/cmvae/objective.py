@@ -97,25 +97,6 @@ def draw_negatives(batch_size: int, modality_names: list[str], num_negatives: in
     return NegativeSet(indices=indices)
 
 
-def contrastive_asymmetric(model, x: np.ndarray, y: np.ndarray, negatives_y: np.ndarray,
-                           cfg: ObjectiveConfig, seed: int) -> float:
-    """One-direction contrastive value for a single anchor pair.
-
-    -Lhat(x, y) + logsumexp_i Lhat(x, y'_i) with the term-appropriate
-    estimators; negatives_y has shape (N, dim_y).
-    """
-    names = [m.name for m in model.modalities]
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    negs = np.asarray(negatives_y, dtype=np.float64)
-    if negs.shape[0] != cfg.num_negatives:
-        raise ValueError(f"expected {cfg.num_negatives} negatives, got {negs.shape[0]}")
-    pos = joint_bound(model, {names[0]: x, names[1]: y}, cfg.term1, seed)
-    neg = joint_bound(model, {names[0]: np.repeat(x, negs.shape[0], axis=0), names[1]: negs},
-                      cfg.term2, seed)
-    return float((neg.logsumexp(axis=0) - pos.sum()).value)
-
-
 def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
                     seed: int, negatives: NegativeSet | None = None):
     """Batch-mean training loss for a two-modality model.

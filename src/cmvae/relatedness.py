@@ -80,14 +80,15 @@ def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
 
 
 def estimate_threshold(scores: np.ndarray, truth: np.ndarray, rule: str = "max-f1") -> float:
-    """Exhaustive sweep over decision boundaries between adjacent scores.
+    """Best decision boundary between adjacent scores.
 
     Candidates are the midpoints of consecutive distinct sorted scores plus
     one boundary below and above everything; the candidate maximizing the
     rule's statistic wins, with ties broken toward the larger threshold
     (favoring precision).  Items score as related when strictly above the
     threshold.  Raises on single-class truth or on all-equal scores (no
-    boundary separates anything).
+    boundary separates anything).  Counts above every candidate come from
+    binary searches of the sorted scores, O(n log n) in all.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
@@ -98,19 +99,19 @@ def estimate_threshold(scores: np.ndarray, truth: np.ndarray, rule: str = "max-f
         raise ValueError("all scores are equal; no threshold separates the classes")
     mids = (uniq[:-1] + uniq[1:]) / 2.0
     candidates = np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
-    best_stat, best_t = -np.inf, None
-    for t in candidates:
-        stat = _rule_statistic(scores > t, truth, rule)
-        if stat >= best_stat:
-            best_stat, best_t = stat, float(t)
-    return best_t
-
-
-def _rule_statistic(pred: np.ndarray, truth: np.ndarray, rule: str) -> float:
+    n, n_true = len(scores), int(truth.sum())
+    n_pred = n - np.searchsorted(np.sort(scores), candidates, side="right")
+    tp = n_true - np.searchsorted(np.sort(scores[truth]), candidates, side="right")
+    tp = tp.astype(np.float64)
     if rule == "max-accuracy":
-        return float(np.mean(pred == truth))
-    p, r, f1 = precision_recall_f1(pred, truth)
-    return f1
+        stat = (tp + (n - n_true) - (n_pred - tp)) / n
+    else:  # same operation order as precision_recall_f1
+        precision = np.divide(tp, n_pred, out=np.zeros_like(tp), where=n_pred > 0)
+        recall = tp / n_true
+        stat = np.divide(2 * precision * recall, precision + recall,
+                         out=np.zeros_like(tp), where=precision + recall > 0)
+    best = len(stat) - 1 - int(np.argmax(stat[::-1]))  # last maximum: the larger threshold
+    return float(candidates[best])
 
 
 def precision_recall_f1(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:

@@ -25,17 +25,18 @@ from .objective import ObjectiveConfig, final_objective
 from .seeding import derive_rng, tag
 
 CHECKPOINT_MAGIC = b"CMVAE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2 adds a dtype code per entry; v1 stored everything as f8
+_CHECKPOINT_DTYPES = {b"f": "<f8", b"i": "<i8"}
 METRICS_SCHEMA = "# cmvae-metrics-v1"
 TRAINLOG_SCHEMA = "# cmvae-trainlog-v1"
 SWEEP_SCHEMA = "# cmvae-sweep-v1"
 
 
 class NumericalAbort(RuntimeError):
-    """Loss went non-finite; carries the last good checkpoint path."""
+    """Loss, gradients or parameters went non-finite; carries the last good checkpoint path."""
 
     def __init__(self, step: int, checkpoint_path: str | None):
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss, gradient or parameter at step {step}")
         self.step = step
         self.checkpoint_path = checkpoint_path
 
@@ -122,9 +123,7 @@ class RunConfig:
 
 
 def config_for_variant(base: RunConfig, variant: str, num_samples: int | None = None) -> RunConfig:
-    k = num_samples if num_samples is not None else (
-        base.objective.term1.num_samples if base.objective.variant != "baseline"
-        else base.objective.term1.num_samples)
+    k = num_samples if num_samples is not None else base.objective.term1.num_samples
     gamma = base.objective.gamma if variant != "baseline" and math.isfinite(base.objective.gamma) else 2.0
     obj = ObjectiveConfig.for_variant(variant, gamma=gamma,
                                       num_negatives=base.objective.num_negatives,
@@ -169,50 +168,70 @@ class TrainState:
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
-    """Versioned name-table header followed by flat little-endian f64 arrays."""
+    """Versioned name-table header followed by flat little-endian arrays.
+
+    Counters are int64 so that any seed restores exactly.  The file is
+    written beside its destination and renamed over it, so a crash never
+    leaves a partial checkpoint under `path`.
+    """
     entries: list[tuple[str, np.ndarray]] = []
     for k in sorted(state.model.params):
         entries.append((k, state.model.params[k].value))
     for k in sorted(state.optimizer.m):
         entries.append((f"adam.m.{k}", state.optimizer.m[k]))
         entries.append((f"adam.v.{k}", state.optimizer.v[k]))
-    entries.append(("trainer.adam_t", np.asarray(float(state.optimizer.t))))
-    entries.append(("trainer.step", np.asarray(float(state.step))))
-    entries.append(("trainer.seed", np.asarray(float(state.seed))))
+    entries.append(("trainer.adam_t", np.asarray(state.optimizer.t, dtype=np.int64)))
+    entries.append(("trainer.step", np.asarray(state.step, dtype=np.int64)))
+    entries.append(("trainer.seed", np.asarray(state.seed, dtype=np.int64)))
 
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
         for name, arr in entries:
             encoded = name.encode()
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
+            fh.write(_dtype_code(arr))
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_CHECKPOINT_DTYPES[_dtype_code(arr)]).tobytes())
+    os.replace(tmp, path)
+
+
+def _dtype_code(arr: np.ndarray) -> bytes:
+    return b"i" if arr.dtype.kind == "i" else b"f"
 
 
 def read_checkpoint(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        if fh.read(5) != CHECKPOINT_MAGIC:
+        def take(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: checkpoint file is truncated")
+            return data
+
+        if take(5) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a CMVAE checkpoint")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
+        version, count = struct.unpack("<II", take(8))
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         table = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            table.append((name, shape))
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode()
+            code = take(1) if version > 1 else b"f"
+            if code not in _CHECKPOINT_DTYPES:
+                raise ValueError(f"{path}: unknown dtype code {code!r} for {name!r}")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            table.append((name, _CHECKPOINT_DTYPES[code], shape))
         out = {}
-        for name, shape in table:
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-            out[name] = arr.reshape(shape) if shape else arr.reshape(())
+        for name, dtype, shape in table:
+            n = int(np.prod(shape))
+            out[name] = np.frombuffer(take(8 * n), dtype=dtype).reshape(shape).copy()
     return out
 
 
@@ -252,10 +271,15 @@ def build_model_from_config(cfg: RunConfig) -> MultimodalModel:
                        joint_kind=cfg.model.joint_kind, seed=cfg.model.init_seed)
 
 
-def _format(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return str(value)
+
+
+def csv_line(cells) -> str:
+    """One CSV line: floats as their repr (NaN blank), anything else as str."""
+    return ",".join(_cell(c) for c in cells) + "\n"
 
 
 def _eval_dataset(cfg: RunConfig) -> tuple[PairedDataset, PairedDataset]:
@@ -314,10 +338,8 @@ def _append_metrics_row(path: str, row: dict) -> None:
     with open(path, "a") as fh:
         if new:
             fh.write(METRICS_SCHEMA + "\n")
-            fh.write(",".join(METRICS_COLUMNS) + "\n")
-        cells = [str(row["run_id"]), str(row["step"])]
-        cells += [_format(row[c]) for c in METRICS_COLUMNS[2:]]
-        fh.write(",".join(cells) + "\n")
+            fh.write(csv_line(METRICS_COLUMNS))
+        fh.write(csv_line(row[c] for c in METRICS_COLUMNS))
 
 
 # -- training loop -------------------------------------------------------------------------
@@ -340,7 +362,6 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                            seed=cfg.seed)
     model, opt = state.model, state.optimizer
 
-    names = list(ds.spec.modality_names)
     num_pairs = len(ds)
     batch_size = min(cfg.optimizer.batch_size, num_pairs)
     steps = extra_steps if extra_steps is not None else cfg.optimizer.steps
@@ -367,11 +388,15 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
             if not np.isfinite(loss.value):
                 raise NumericalAbort(step, last_good)
             grads = backward(loss, model.params)
+            if not _all_finite(grads.values()):
+                raise NumericalAbort(step, last_good)
             opt.step(grads)
             state.step = step + 1
-            log.write(f"{step},{_format(float(loss.value))},{_format(term1)},{_format(term2)}\n")
+            log.write(csv_line([step, float(loss.value), term1, term2]))
 
             if cfg.eval_every and state.step % cfg.eval_every == 0:
+                if not _all_finite(p.value for p in model.params.values()):
+                    raise NumericalAbort(step, last_good)
                 save_checkpoint(state, ckpt_path)
                 last_good = ckpt_path
                 if evaluate:
@@ -381,6 +406,10 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     if evaluate and (cfg.eval_every == 0 or state.step % cfg.eval_every != 0 or steps == 0):
         _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step))
     return state
+
+
+def _all_finite(arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30) -> float:
@@ -397,53 +426,44 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30) -> float:
 
 def sweep_gamma(cfg: RunConfig, gammas: list[float], out_path: str) -> list[dict]:
     """Full train + eval per gamma with shared seeds; long-format CSV."""
-    rows = []
-    with open(out_path, "w") as fh:
-        fh.write(SWEEP_SCHEMA + "\n")
-        fh.write("gamma,step," + ",".join(METRICS_COLUMNS[2:]) + ",mean_test_loglik\n")
-        for gamma in gammas:
-            rcfg = replace(cfg,
-                           run_id=f"{cfg.run_id}-g{gamma}",
-                           objective=replace(cfg.objective, gamma=float(gamma)),
-                           output_dir=os.path.join(cfg.output_dir, f"gamma={gamma}"))
-            state = train(rcfg, evaluate=False)
-            row = evaluate_model(state.model, rcfg, state.step)
-            row["gamma"] = gamma
-            row["mean_test_loglik"] = mean_heldout_loglik(state.model, rcfg)
-            rows.append(row)
-            cells = [_format(float(gamma)), str(row["step"])]
-            cells += [_format(row[c]) for c in METRICS_COLUMNS[2:]]
-            cells.append(_format(row["mean_test_loglik"]))
-            fh.write(",".join(cells) + "\n")
-    return rows
+    runs = (({"gamma": float(gamma)},
+             replace(cfg, run_id=f"{cfg.run_id}-g{gamma}",
+                     objective=replace(cfg.objective, gamma=float(gamma)),
+                     output_dir=os.path.join(cfg.output_dir, f"gamma={gamma}")))
+            for gamma in gammas)
+    return _sweep(out_path, ["gamma"], runs, heldout=True)
 
 
 def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[str],
                         out_path: str, seeds: list[int] | None = None) -> list[dict]:
     """Cross product of variants x percents x paired seeds; long-format CSV."""
     seeds = seeds if seeds is not None else [cfg.seed]
+    runs = (({"variant": variant, "percent": float(percent), "seed": seed},
+             replace(config_for_variant(cfg, variant),
+                     run_id=f"{cfg.run_id}-{variant}-p{percent}-s{seed}",
+                     seed=seed,
+                     dataset=replace(cfg.dataset, percent=float(percent), seed=seed),
+                     model=replace(cfg.model, init_seed=seed),
+                     output_dir=os.path.join(cfg.output_dir, f"{variant}-p{percent}-s{seed}")))
+            for variant in variants for percent in percents for seed in seeds)
+    return _sweep(out_path, ["variant", "percent", "seed"], runs)
+
+
+def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:
+    """Train each (key values, config) run from scratch, then write one metrics row per run."""
+    columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
     rows = []
     with open(out_path, "w") as fh:
         fh.write(SWEEP_SCHEMA + "\n")
-        fh.write("variant,percent,seed,step," + ",".join(METRICS_COLUMNS[2:]) + "\n")
-        for variant in variants:
-            for percent in percents:
-                for seed in seeds:
-                    rcfg = config_for_variant(cfg, variant)
-                    rcfg = replace(
-                        rcfg,
-                        run_id=f"{cfg.run_id}-{variant}-p{percent}-s{seed}",
-                        seed=seed,
-                        dataset=replace(cfg.dataset, percent=float(percent), seed=seed),
-                        model=replace(cfg.model, init_seed=seed),
-                        output_dir=os.path.join(cfg.output_dir, f"{variant}-p{percent}-s{seed}"))
-                    state = train(rcfg, evaluate=False)
-                    row = evaluate_model(state.model, rcfg, state.step)
-                    row.update({"variant": variant, "percent": percent, "seed": seed})
-                    rows.append(row)
-                    cells = [variant, _format(float(percent)), str(seed), str(row["step"])]
-                    cells += [_format(row[c]) for c in METRICS_COLUMNS[2:]]
-                    fh.write(",".join(cells) + "\n")
+        fh.write(csv_line(columns))
+        for key_values, rcfg in runs:
+            state = train(rcfg, evaluate=False)
+            row = evaluate_model(state.model, rcfg, state.step)
+            row.update(key_values)
+            if heldout:
+                row["mean_test_loglik"] = mean_heldout_loglik(state.model, rcfg)
+            rows.append(row)
+            fh.write(csv_line(row[c] for c in columns))
     return rows
 
 

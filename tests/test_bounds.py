@@ -9,8 +9,6 @@ from cmvae.bounds import (
     elbo,
     iwae,
     joint_bound,
-    joint_eval_count,
-    reset_joint_eval_count,
     unimodal_marginal,
 )
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
@@ -188,17 +186,6 @@ def test_unknown_modality_on_trained_model():
     model = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind="poe", seed=4)
     with pytest.raises(UnknownModalityError):
         unimodal_marginal(model, "m9", np.zeros((1, 2)), 2, seed=0)
-
-
-def test_joint_eval_counter_counts_rows():
-    mods = [ModalitySpec("m1", 2, "gaussian"), ModalitySpec("m2", 2, "gaussian")]
-    model = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind="poe", seed=4)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((6, 2))
-    y = rng.standard_normal((6, 2))
-    reset_joint_eval_count()
-    elbo(model, x, y, 3, seed=0)
-    assert joint_eval_count() == 6
 
 
 def test_bound_from_log_weights_shapes():

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from cmvae.data import (
     DegenerateMapError,
     FactorSpec,
-    dump_pairs_csv,
     generate_unimodal,
-    load_dataset,
     make_related_dataset,
     mixing_maps,
     pair_random,
     pair_related,
-    save_dataset,
     subset,
 )
 from cmvae.evaluation import OracleClassifier
@@ -166,40 +163,6 @@ def test_relatedness_flag_definition_holds_everywhere():
     mixed = pair_random(SPEC, x, y, seed=18)
     lab = mixed.pair_labels()
     assert np.array_equal(mixed.related.astype(bool), lab["m1"] == lab["m2"])
-
-
-def test_dataset_roundtrip_binary(tmp_path):
-    ds = make_related_dataset(SPEC, 40, seed=19, pairs_per_instance=2)
-    path = str(tmp_path / "ds.cmds")
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.spec == ds.spec
-    assert np.array_equal(back.pairs, ds.pairs)
-    assert np.array_equal(back.related, ds.related)
-    for name in ("m1", "m2"):
-        assert np.array_equal(back.observations[name], ds.observations[name])
-        assert np.array_equal(back.labels[name], ds.labels[name])
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"CMDS"
-
-
-def test_dataset_rejects_wrong_magic(tmp_path):
-    path = str(tmp_path / "bogus.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        load_dataset(path)
-
-
-def test_pairs_csv_dump(tmp_path):
-    ds = make_related_dataset(SPEC, 20, seed=20)
-    path = str(tmp_path / "pairs.csv")
-    dump_pairs_csv(ds, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "idx_m1,idx_m2,related,label_m1,label_m2"
-    assert len(lines) == len(ds) + 1
-    first = lines[1].split(",")
-    assert first[2] == "1"
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvae.data import FactorSpec, make_related_dataset
@@ -123,6 +123,39 @@ def test_threshold_invariant_to_monotone_transform(raw, a, b):
     thr = estimate_threshold(scores, truth)
     scaled = estimate_threshold(transformed, truth)
     assert np.array_equal(transformed > scaled, scores > thr)
+
+
+def exhaustive_threshold(scores, truth, rule):
+    """Reference sweep: score every candidate boundary, keep the last best."""
+    uniq = np.unique(scores)
+    mids = (uniq[:-1] + uniq[1:]) / 2.0
+    candidates = np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
+    best_stat, best_t = -np.inf, None
+    for t in candidates:
+        pred = scores > t
+        if rule == "max-accuracy":
+            stat = float(np.mean(pred == truth))
+        else:
+            stat = precision_recall_f1(pred, truth)[2]
+        if stat >= best_stat:
+            best_stat, best_t = stat, float(t)
+    return best_t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.booleans()), min_size=2, max_size=40),
+       st.sampled_from([(0.0, 1.0), (0.0, 0.37), (0.0, 1e-300), (1.0, float(np.spacing(1.0)))]),
+       st.sampled_from(["max-f1", "max-accuracy"]))
+@example(items=[(4, False), (5, True)], grid=(1.0, float(np.spacing(1.0))), rule="max-accuracy")
+def test_threshold_matches_exhaustive_sweep(items, grid, rule):
+    # small integer steps make ties within and across classes common; steps of
+    # one ulp make midpoints round onto a score
+    offset, step = grid
+    scores = offset + np.array([k for k, _ in items], dtype=np.float64) * step
+    truth = np.array([r for _, r in items])
+    if truth.all() or (~truth).all() or np.unique(scores).size < 2:
+        return
+    assert estimate_threshold(scores, truth, rule) == exhaustive_threshold(scores, truth, rule)
 
 
 def test_precision_recall_f1_conventions():

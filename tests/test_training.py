@@ -1,11 +1,17 @@
 import json
 import math
 import os
+import struct
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmvae.data import FactorSpec
+from cmvae import training
 from cmvae.objective import ObjectiveConfig
 from cmvae.training import (
     Adam,
@@ -89,6 +95,87 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(restored.model.params[k].value, model.params[k].value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-(2 ** 63), 2 ** 63 - 1), step=st.integers(0, 2 ** 63 - 1),
+       adam_t=st.integers(0, 2 ** 63 - 1))
+@example(seed=2 ** 60 + 1, step=2 ** 53 + 1, adam_t=2 ** 53 + 1)
+def test_checkpoint_integers_roundtrip_exactly(seed, step, adam_t):
+    cfg = tiny_config("unused")
+    model = build_model_from_config(cfg)
+    opt = Adam(model.params, cfg.optimizer)
+    opt.t = adam_t
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ckpt")
+        save_checkpoint(TrainState(step=step, model=model, optimizer=opt, seed=seed), path)
+        restored = restore_state(cfg, path)
+    assert (restored.seed, restored.step, restored.optimizer.t) == (seed, step, adam_t)
+
+
+def _write_v1_checkpoint(path, arrays):
+    """The version-1 layout: every entry stored as little-endian f8."""
+    with open(path, "wb") as fh:
+        fh.write(b"CMVAE" + struct.pack("<II", 1, len(arrays)))
+        for name, arr in arrays.items():
+            fh.write(struct.pack("<I", len(name)) + name.encode())
+            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def test_reads_version1_checkpoint(tmp_path):
+    cfg = tiny_config(tmp_path / "runs")
+    model = build_model_from_config(cfg)
+    opt = Adam(model.params, cfg.optimizer)
+    arrays = {k: p.value for k, p in sorted(model.params.items())}
+    for k in sorted(opt.m):
+        arrays[f"adam.m.{k}"] = opt.m[k] + 0.5
+        arrays[f"adam.v.{k}"] = opt.v[k] + 0.25
+    arrays.update({"trainer.adam_t": np.asarray(7.0), "trainer.step": np.asarray(7.0),
+                   "trainer.seed": np.asarray(12345.0)})
+    path = str(tmp_path / "v1.ckpt")
+    _write_v1_checkpoint(path, arrays)
+    restored = restore_state(cfg, path)
+    assert (restored.seed, restored.step, restored.optimizer.t) == (12345, 7, 7)
+    for k, p in model.params.items():
+        assert np.array_equal(restored.model.params[k].value, p.value)
+        assert np.array_equal(restored.optimizer.m[k], opt.m[k] + 0.5)
+
+
+def test_truncated_checkpoint_is_reported(tmp_path):
+    cfg = tiny_config(tmp_path / "runs")
+    model = build_model_from_config(cfg)
+    state = TrainState(step=3, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=1)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(state, path)
+    data = open(path, "rb").read()
+    # inside the magic/version header, inside the name table, inside the arrays
+    for keep in (3, 9, 13 + 6, len(data) - 3):
+        cut = str(tmp_path / f"cut{keep}.ckpt")
+        with open(cut, "wb") as fh:
+            fh.write(data[:keep])
+        with pytest.raises(ValueError, match="truncated") as err:
+            read_checkpoint(cut)
+        assert cut in str(err.value)
+
+
+def test_checkpoint_write_replaces_atomically(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "runs")
+    model = build_model_from_config(cfg)
+    state = TrainState(step=3, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=1)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(state, path)
+    before = open(path, "rb").read()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(training.os, "replace", failing_replace)
+    state.step = 4
+    with pytest.raises(OSError):
+        save_checkpoint(state, path)
+    assert open(path, "rb").read() == before
+
+
 def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=0)
     state = train(cfg, evaluate=False)
@@ -139,6 +226,40 @@ def test_nonfinite_loss_aborts_with_checkpoint(tmp_path):
     with pytest.raises(NumericalAbort) as err:
         train(cfg, dataset=ds, state=state, evaluate=False)
     assert err.value.checkpoint_path and os.path.exists(err.value.checkpoint_path)
+
+
+def test_nonfinite_gradient_aborts_before_update(tmp_path, monkeypatch):
+    # a finite loss with NaN gradients must neither update nor become last_good
+    cfg = replace(tiny_config(tmp_path / "runs", steps=4), eval_every=1)
+    real_backward = training.backward
+
+    def nan_backward(loss, params):
+        return {k: np.full_like(g, np.nan) for k, g in real_backward(loss, params).items()}
+
+    monkeypatch.setattr(training, "backward", nan_backward)
+    with pytest.raises(NumericalAbort) as err:
+        train(cfg, evaluate=False)
+    assert err.value.step == 0
+    arrays = read_checkpoint(err.value.checkpoint_path)
+    assert all(np.isfinite(a).all() for a in arrays.values())
+
+
+def test_nonfinite_parameters_never_become_last_good(tmp_path, monkeypatch):
+    # the state turns non-finite on the last step, which is also a checkpoint step
+    cfg = replace(tiny_config(tmp_path / "runs", steps=4), eval_every=2)
+    real_step = Adam.step
+
+    def poisoning_step(self, grads):
+        real_step(self, grads)
+        if self.t == 4:
+            self.params["dec.m1.b_out"].value = np.full_like(self.params["dec.m1.b_out"].value, np.inf)
+
+    monkeypatch.setattr(Adam, "step", poisoning_step)
+    with pytest.raises(NumericalAbort) as err:
+        train(cfg, evaluate=False)
+    arrays = read_checkpoint(err.value.checkpoint_path)
+    assert int(arrays["trainer.step"]) == 2
+    assert all(np.isfinite(a).all() for a in arrays.values())
 
 
 def test_train_loss_decreases_on_tiny_problem(tmp_path):
