@@ -11,7 +11,7 @@ from .bounds import EstimatorSpec, cubo, elbo, iwae, joint_bound, unimodal_margi
 from .data import FactorSpec, PairedDataset, generate_unimodal, pair_random, pair_related, subset
 from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_log_prob, gaussian_product, rsample
 from .models import ModalitySpec, MultimodalModel, build_model
-from .objective import NegativeSet, ObjectiveConfig, draw_negatives, final_objective, multimodal_objective
+from .objective import NegativeSet, ObjectiveConfig, draw_negatives, final_objective
 from .relatedness import PropagationConfig, PropagationReport, estimate_threshold, pmi, propagate
 from .training import RunConfig, TrainState, run_pipeline, train
 
@@ -21,7 +21,7 @@ __all__ = [
     "FactorSpec", "PairedDataset", "generate_unimodal", "pair_related", "pair_random", "subset",
     "DiagonalGaussian", "FactorBernoulli", "gaussian_log_prob", "gaussian_product", "rsample",
     "ModalitySpec", "MultimodalModel", "build_model",
-    "ObjectiveConfig", "NegativeSet", "draw_negatives", "final_objective", "multimodal_objective",
+    "ObjectiveConfig", "NegativeSet", "draw_negatives", "final_objective",
     "PropagationConfig", "PropagationReport", "pmi", "estimate_threshold", "propagate",
     "RunConfig", "TrainState", "train", "run_pipeline",
 ]

@@ -46,6 +46,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _unbroadcast_product(shape: tuple, *operands: np.ndarray) -> np.ndarray:
+    """`_unbroadcast` of the broadcast product of `operands`, in one einsum
+    that never forms the full product."""
+    ndim = max(op.ndim for op in operands)
+    axes = "abcdefghijklmnopqrstuvwxyz"[:ndim]
+    inputs = ",".join(axes[ndim - op.ndim:] for op in operands)
+    kept = "".join(axes[ndim - len(shape) + i] for i, n in enumerate(shape) if n != 1)
+    return np.einsum(f"{inputs}->{kept}", *operands).reshape(shape)
+
+
 class Tensor:
     """Node in the differentiation graph: value, gradient slot, parent links."""
 
@@ -185,14 +195,9 @@ class Tensor:
         return Tensor(self.value.reshape(shape), parents=((self, lambda g: g.reshape(old)),))
 
     def __getitem__(self, idx):
+        """Basic or fancy indexing; an entry gathered k times gets k times its gradient."""
         val = self.value[idx]
-
-        def vjp(g, idx=idx, shape=self.value.shape):
-            out = np.zeros(shape)
-            out[idx] = g
-            return out
-
-        return Tensor(val, parents=((self, vjp),))
+        return Tensor(val, parents=((self, lambda g, shape=self.value.shape: _scatter_add(shape, idx, g)),))
 
     # -- reductions ----------------------------------------------------------------
 
@@ -219,6 +224,32 @@ class Tensor:
         return shifted.sum(axis=axis).log() + Tensor.const(np.squeeze(m, axis=axis))
 
 
+def _scatter_add(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
+    """Adjoint of `value[idx]` for a value of `shape`: zeros, plus g summed into place.
+
+    A basic index never selects an entry twice, so it assigns.  Integer
+    arrays over the leading axes are reduced by sorted segment sums, several
+    times faster than np.add.at when trailing slabs are large; any other
+    fancy index falls back to np.add.at.
+    """
+    out = np.zeros(shape)
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts):
+        out[idx] = g
+    elif all(isinstance(p, np.ndarray) and p.dtype.kind in "iu" for p in parts):
+        k = len(parts)
+        flat = np.ravel_multi_index(np.broadcast_arrays(*parts), shape[:k], mode="wrap").reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            pos = flat[order]
+            starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+            slabs = g.reshape((flat.size,) + shape[k:])[order]
+            out.reshape((-1,) + shape[k:])[pos[starts]] = np.add.reduceat(slabs, starts, axis=0)
+    else:
+        np.add.at(out, idx, g)
+    return out
+
+
 def _ew(op: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
     try:
         return fn(a, b)
@@ -243,10 +274,23 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def affine(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Row-wise linear map ``x @ w + b``; accepts a constant batch for x."""
+    """Row-wise linear map ``x @ w + b``; accepts a constant batch for x.
+
+    One graph node that adds the bias into the product in place, so a
+    layer allocates one activation array instead of two.
+    """
     if not isinstance(x, Tensor):
         x = Tensor.const(x)
-    return x @ w + b
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ShapeMismatchError("matmul", xv.shape, wv.shape)
+    out = xv @ wv
+    out += b.value
+    return Tensor(out, parents=(
+        (x, lambda g: g @ wv.T),
+        (w, lambda g: xv.T @ g),
+        (b, lambda g: _unbroadcast(g, b.value.shape)),
+    ))
 
 
 def logsumexp(values) -> Tensor:

@@ -10,7 +10,9 @@ chi-square bound; the bias vanishes as K grows.
 All estimators return per-item values; batch reductions belong to the
 objective layer.  Per-item sampling noise is keyed on item content, so
 estimates are deterministic under a fixed seed and invariant to batch
-permutation.
+permutation.  The mixture posterior keys each draw on the one modality row
+it comes from, so scoring pair (x_i, y_j) out of a batch through `pairs`
+gives the same estimate as scoring it alone.
 """
 
 from __future__ import annotations
@@ -38,18 +40,36 @@ class EstimatorSpec:
             raise ValueError("num_samples must be >= 1")
 
 
-def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int) -> Tensor:
-    """Log importance weights log p(z, obs) - log q(z | obs), shape (B, K).
+def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
+                      pairs: dict | None = None) -> Tensor:
+    """Log importance weights log p(z, obs) - log q(z | obs), shape (P, K).
+
+    Pair p is row pairs[m][p] of every modality m; without `pairs`, P = B
+    and pair p is row p of every modality.  The mixture posterior draws and
+    decodes each modality row's samples once, however many pairs use the
+    row, and gathers the prior, the likelihoods and its mixture density per
+    pair (see MultimodalModel.joint_posterior_samples).  Other posteriors
+    condition on the whole pair, so the pair rows are gathered and scored
+    as a batch.
 
     Modalities are folded in sorted-name order so the result is bit-stable
     under relabeling of the modality list.
     """
-    z, log_q = model.joint_posterior_samples(obs_by_modality, num_samples, seed)
+    obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
+    shared = pairs is not None and getattr(model, "joint_kind", None) == "moe"
+    if shared:
+        z, log_q = model.joint_posterior_samples(obs, num_samples, seed, pairs)
+    if pairs is not None:
+        obs = {n: obs[n][rows] for n, rows in pairs.items()}
+    if not shared:
+        z, log_q = model.joint_posterior_samples(obs, num_samples, seed)
     log_p = standard_normal_log_prob(z)
     liks = model.decode_all(z)
+    if shared:
+        log_p = model.pair_draws(log_p, pairs)
+        liks = {n: lik.map_rows(lambda t: model.pair_draws(t, pairs)) for n, lik in liks.items()}
     for name in sorted(liks):
-        obs = np.atleast_2d(np.asarray(obs_by_modality[name], dtype=np.float64))
-        log_p = log_p + liks[name].log_prob(obs[:, None, :])
+        log_p = log_p + liks[name].log_prob(obs[name][:, None, :])
     return log_p - log_q
 
 

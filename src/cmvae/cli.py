@@ -2,8 +2,11 @@
 
 Subcommands: train, eval, sweep-gamma, sweep-data, propagate, oracle-check.
 Configs are JSON files (see RunConfig); the CMVAE_SEED environment variable
-overrides the config seed.  Exit codes: 0 success, 2 config error,
-3 numerical abort.
+overrides the config seed.  Exit codes: 0 success, 1 a failed oracle-check,
+2 config error (including a batch that cannot supply num_negatives
+negatives, reported before any file is written), 3 numerical abort,
+4 unreadable checkpoint (missing, truncated, not a checkpoint, or saved
+for a different model).  Codes 2-4 print one line to stderr.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds, evaluation, relatedness, training
+from .training import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_CHECKPOINT = 4
 
 
-class ConfigError(ValueError):
+class CheckpointError(ValueError):
     pass
 
 
@@ -54,7 +59,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    state = training.restore_state(cfg, args.checkpoint)
+    try:
+        state = training.restore_state(cfg, args.checkpoint)
+    except OSError as exc:
+        raise CheckpointError(f"{args.checkpoint}: {exc.strerror}") from exc
+    except ValueError as exc:  # the reader's messages name the path
+        raise CheckpointError(str(exc)) from exc
     row = training.evaluate_model(state.model, cfg, state.step)
     print(json.dumps({k: (None if isinstance(v, float) and math.isnan(v) else v)
                       for k, v in row.items()}, indent=2, sort_keys=True))
@@ -67,7 +77,6 @@ def _cmd_sweep_gamma(args) -> int:
     if any(g < 1.0 for g in gammas):
         raise ConfigError("gamma values must be >= 1")
     out = os.path.join(cfg.output_dir, f"{cfg.run_id}.gamma_sweep.csv")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     training.sweep_gamma(cfg, gammas, out)
     print(f"gamma sweep written to {out}")
     return EXIT_OK
@@ -84,7 +93,6 @@ def _cmd_sweep_data(args) -> int:
             raise ConfigError(f"unknown variant {v!r}")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     out = os.path.join(cfg.output_dir, f"{cfg.run_id}.data_sweep.csv")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     training.sweep_data_fraction(cfg, percents, variants, out, seeds=seeds)
     print(f"data-fraction sweep written to {out}")
     return EXIT_OK
@@ -220,6 +228,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except training.NumericalAbort as exc:
         print(f"numerical abort: {exc}; last good checkpoint: {exc.checkpoint_path}",
               file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tensor, _unbroadcast
+from .autodiff import ShapeMismatchError, Tensor, _unbroadcast, _unbroadcast_product
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 LOGIT_CLAMP = 15.0  # keeps Bernoulli probabilities strictly inside (0, 1)
@@ -45,6 +45,11 @@ class DiagonalGaussian:
         return DiagonalGaussian(mean=self.mean.reshape(rows, 1, dim),
                                 log_var=self.log_var.reshape(rows, 1, dim))
 
+    def map_rows(self, fn) -> "DiagonalGaussian":
+        """Apply `fn` (a gather) to per-row parameters; a log-variance shared by all rows stays shared."""
+        log_var = fn(self.log_var) if self.log_var.ndim == self.mean.ndim else self.log_var
+        return DiagonalGaussian(mean=fn(self.mean), log_var=log_var)
+
 
 @dataclass(frozen=True)
 class FactorBernoulli:
@@ -59,6 +64,10 @@ class FactorBernoulli:
     @property
     def mean(self) -> Tensor:
         return self.logits.clamp(-LOGIT_CLAMP, LOGIT_CLAMP).sigmoid()
+
+    def map_rows(self, fn) -> "FactorBernoulli":
+        """Apply `fn` (a gather) to the logits."""
+        return FactorBernoulli(logits=fn(self.logits))
 
     def log_prob(self, value) -> Tensor:
         """Sum of per-coordinate Bernoulli log-likelihoods.
@@ -102,16 +111,19 @@ def gaussian_log_prob(d: DiagonalGaussian, value) -> Tensor:
         raise ShapeMismatchError("gaussian_log_prob", v.shape, mean.shape) from None
     inv_var = np.exp(-log_var.value)
     dp = diff * inv_var
-    val = (-0.5 * (LOG_2PI + log_var.value) - 0.5 * diff * dp).sum(axis=-1)
+    const = np.broadcast_to(LOG_2PI + log_var.value, log_var.shape[:-1] + dp.shape[-1:])
+    val = -0.5 * (const.sum(axis=-1) + np.einsum("...d,...d->...", diff, dp))
 
     def vjp_value(g):
-        return _unbroadcast(-g[..., None] * dp, v.value.shape)
+        return -_unbroadcast_product(v.value.shape, g[..., None], dp)
 
     def vjp_mean(g):
-        return _unbroadcast(g[..., None] * dp, mean.value.shape)
+        return _unbroadcast_product(mean.value.shape, g[..., None], dp)
 
     def vjp_log_var(g):
-        return _unbroadcast(g[..., None] * (-0.5 + 0.5 * diff * dp), log_var.value.shape)
+        shape, g = log_var.value.shape, g[..., None]
+        return 0.5 * (_unbroadcast_product(shape, g, diff, dp)
+                      - _unbroadcast_product(shape, g, np.ones(dp.shape[-1:])))
 
     return Tensor(val, parents=((v, vjp_value), (mean, vjp_mean), (log_var, vjp_log_var)))
 

@@ -10,7 +10,7 @@ from a single thread only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class MultimodalModel:
                 return m
         raise UnknownModalityError(name)
 
+    def frozen(self) -> "MultimodalModel":
+        """The same model over constant views of its parameter arrays.
+
+        Evaluating through it records no graph, so each intermediate is
+        freed as soon as it is used; for passes that only need values.
+        """
+        return replace(self, params={k: Tensor.const(p.value) for k, p in self.params.items()})
+
     # -- encoding ----------------------------------------------------------------
 
     def _mlp_gaussian_head(self, prefix: str, x: np.ndarray) -> DiagonalGaussian:
@@ -113,32 +121,63 @@ class MultimodalModel:
     # -- joint posterior sampling ---------------------------------------------------
 
     def joint_posterior_samples(self, obs_by_modality: dict[str, np.ndarray],
-                                num_samples: int, seed: int):
+                                num_samples: int, seed: int, pairs: dict | None = None):
         """Draw z from q(z | all modalities) and report log q at each draw.
 
-        Returns (z, log_q), shapes (B, S, L) and (B, S).  For the mixture
-        posterior, num_samples must divide evenly across modalities; each
-        unimodal posterior contributes the same number of stratified draws
-        and log q is the mixture density evaluated at every draw.
-        """
-        first = np.atleast_2d(np.asarray(obs_by_modality[self.modalities[0].name]))
-        batch = first.shape[0]
-        rows = [tuple(np.atleast_2d(np.asarray(obs_by_modality[m.name]))[i]
-                      for m in self.modalities) for i in range(batch)]
-        noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
+        Returns (z, log_q), shapes (B, S, L) and (P, S).  Pair p is row
+        pairs[m][p] of every modality m; without `pairs`, P = B and pair p
+        is row p of every modality.
 
+        Explicit and PoE posteriors condition on the whole pair: they take
+        no `pairs`, and noise is keyed on the pair's rows.
+
+        The mixture posterior draws per modality row: row r of z holds, for
+        each modality m in name order, S/M stratified draws from
+        q(z | obs_m[r]), with noise keyed on that row alone under the
+        stream "joint_posterior.<m>".  Pair p's draws are pair_draws(z, pairs)[p]
+        and log_q[p] is its equal-weight mixture density at them, so every
+        pair that shares a row shares (and need not redraw) its draws.
+        num_samples must divide evenly across modalities.
+        """
         if self.joint_kind in ("explicit", "poe"):
+            if pairs is not None:
+                raise ValueError(f"{self.joint_kind} posterior draws per pair; gather the pair rows instead")
+            first = np.atleast_2d(np.asarray(obs_by_modality[self.modalities[0].name]))
+            rows = [tuple(np.atleast_2d(np.asarray(obs_by_modality[m.name]))[i]
+                          for m in self.modalities) for i in range(first.shape[0])]
+            noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
             return sample_per_row(self.encode_joint(obs_by_modality), noise)
 
         m = self.num_modalities
         if num_samples % m != 0:
             raise ValueError(f"mixture posterior needs num_samples divisible by {m}, got {num_samples}")
         per = num_samples // m
-        comps = [self.encode_unimodal(spec.name, obs_by_modality[spec.name]).per_row()
-                 for spec in self.modalities]
-        parts = [q.rsample(noise[:, k * per:(k + 1) * per, :]) for k, q in enumerate(comps)]
-        z = concat(parts, axis=1)
-        return z, _mixture_log_prob(comps, z)
+        comps, draws = [], []
+        for spec in self.modalities:
+            obs = np.atleast_2d(np.asarray(obs_by_modality[spec.name], dtype=np.float64))
+            q = self.encode_unimodal(spec.name, obs).per_row()
+            noise = per_row_normal(seed, f"joint_posterior.{spec.name}", [(r,) for r in obs],
+                                   (per, self.latent_dim))
+            comps.append(q)
+            draws.append(q.rsample(noise))
+        z = concat(draws, axis=1)
+        if pairs is None:
+            return z, _mixture_log_prob(comps, z)
+        pair_comps = [q.map_rows(lambda t, rows=pairs[spec.name]: t[np.asarray(rows)])
+                      for q, spec in zip(comps, self.modalities)]
+        return z, _mixture_log_prob(pair_comps, self.pair_draws(z, pairs))
+
+    def pair_draws(self, t: Tensor, pairs: dict) -> Tensor:
+        """Per-pair view (P, S, ...) of a quantity t (B, S, ...) on the mixture's draw grid.
+
+        Slot block m (S/M slots, modalities in name order) of pair p is
+        block m of row pairs[m][p].
+        """
+        b, s = t.shape[:2]
+        m = self.num_modalities
+        rows = np.stack([np.asarray(pairs[spec.name]) for spec in self.modalities], axis=1)
+        grid = t.reshape((b, m, s // m) + t.shape[2:])
+        return grid[rows, np.arange(m)].reshape((rows.shape[0], s) + t.shape[2:])
 
     # -- decoding ---------------------------------------------------------------------
 

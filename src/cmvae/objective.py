@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .bounds import EstimatorSpec, joint_bound
+from .bounds import EstimatorSpec, bound_from_log_weights, joint_bound, joint_log_weights
 from .seeding import derive_rng, tag
 
 VARIANTS = ("baseline", "cI", "cC")
@@ -104,17 +103,21 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
     Returns (loss, term1, term2): the differentiable scalar loss, the mean
     positive-pair estimate, and the mean symmetrized negative log-sum-exp.
     In baseline mode the loss is -mean ELBO and term2 is NaN.
+
+    The B positives and the 2BN negative pairs are scored by one
+    joint_log_weights call over index arrays into the batch rows (two
+    when the terms use different sample counts), so each modality row is
+    encoded, sampled and decoded once per call.
     """
     names = [m.name for m in model.modalities]
     if len(names) != 2:
-        raise ValueError("final_objective covers two modalities; see multimodal_objective")
+        raise ValueError("final_objective covers two modalities")
     obs = {n: np.atleast_2d(np.asarray(batch[n], dtype=np.float64)) for n in names}
     batch_size = obs[names[0]].shape[0]
 
-    pos = joint_bound(model, obs, cfg.term1, seed)
     if cfg.variant == "baseline":
-        loss = -pos.mean()
-        return loss, float(pos.mean().value), math.nan
+        pos = joint_bound(model, obs, cfg.term1, seed)
+        return -pos.mean(), float(pos.mean().value), math.nan
 
     n_neg = cfg.num_negatives
     if batch_size <= n_neg:
@@ -122,58 +125,24 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
     if negatives is None:
         negatives = draw_negatives(batch_size, names, n_neg, seed)
 
-    # One direction per modality: replace that modality's observation with
-    # each of the anchor's negatives, keep the other modality fixed.
-    lse_by_direction = []
-    for replaced in names:
-        kept = names[0] if replaced == names[1] else names[1]
-        idx = negatives.indices[replaced]
-        rows = {
-            kept: np.repeat(obs[kept], n_neg, axis=0),
-            replaced: obs[replaced][idx.reshape(-1)],
-        }
-        est = joint_bound(model, rows, cfg.term2, seed)
-        lse_by_direction.append(est.reshape(batch_size, n_neg).logsumexp(axis=1))
+    # One direction per modality: that modality's row is replaced by each
+    # of the anchor's negatives while the other modality keeps the anchor.
+    anchors = np.arange(batch_size)
+    kept = np.repeat(anchors, n_neg)
+    a, b = names
+    neg_pairs = {a: np.concatenate([negatives.indices[a].reshape(-1), kept]),
+                 b: np.concatenate([kept, negatives.indices[b].reshape(-1)])}
+    if cfg.term1.num_samples == cfg.term2.num_samples:
+        pairs = {n: np.concatenate([anchors, rows]) for n, rows in neg_pairs.items()}
+        log_w = joint_log_weights(model, obs, cfg.term1.num_samples, seed, pairs)
+        pos_w, neg_w = log_w[:batch_size], log_w[batch_size:]
+    else:
+        pos_w = joint_log_weights(model, obs, cfg.term1.num_samples, seed)
+        neg_w = joint_log_weights(model, obs, cfg.term2.num_samples, seed, neg_pairs)
+    pos = bound_from_log_weights(pos_w, cfg.term1.kind)
+    est = bound_from_log_weights(neg_w, cfg.term2.kind)
+    lse = est.reshape(2, batch_size, n_neg).logsumexp(axis=2)
 
-    contrast = 0.5 * (lse_by_direction[0] + lse_by_direction[1])
+    contrast = 0.5 * (lse[0] + lse[1])
     loss = (-cfg.gamma * pos + contrast).mean()
     return loss, float(pos.mean().value), float(contrast.mean().value)
-
-
-def draw_index_matrix(num_modalities: int, num_negatives: int, pool_sizes, seed: int) -> np.ndarray:
-    """Random (M, N) index matrix selecting negative tuples, one column per tuple."""
-    sizes = np.broadcast_to(np.asarray(pool_sizes, dtype=np.int64), (num_modalities,))
-    rng = derive_rng(seed, tag("index_matrix"))
-    return np.stack([rng.integers(0, sizes[m], size=num_negatives)
-                     for m in range(num_modalities)])
-
-
-def multimodal_objective(model, batch: dict[str, np.ndarray], index_matrix: np.ndarray,
-                         cfg: ObjectiveConfig, seed: int) -> Tensor:
-    """Simplified many-modality loss with O(N) joint evaluations per anchor.
-
-    Negative tuples are assembled by indexing each modality's pool with one
-    column of the (M, N) index matrix; every anchor is scored against the
-    same N tuples plus its own positive tuple, so the joint estimator runs
-    exactly N + 1 times per anchor regardless of the modality count.
-    """
-    names = [m.name for m in model.modalities]
-    obs = {n: np.atleast_2d(np.asarray(batch[n], dtype=np.float64)) for n in names}
-    batch_size = obs[names[0]].shape[0]
-    J = np.asarray(index_matrix)
-    if J.shape != (len(names), cfg.num_negatives):
-        raise ValueError(f"index matrix must be ({len(names)}, {cfg.num_negatives}), got {J.shape}")
-    for m, name in enumerate(names):
-        if J[m].min() < 0 or J[m].max() >= obs[name].shape[0]:
-            raise IndexError(f"index matrix out of bounds for modality {name!r}")
-
-    pos = joint_bound(model, obs, cfg.term1, seed)
-    if cfg.variant == "baseline":
-        return -pos.mean()
-
-    n_neg = cfg.num_negatives
-    rows = {name: np.repeat(obs[name][J[m]][None, :, :], batch_size, axis=0).reshape(
-        batch_size * n_neg, -1) for m, name in enumerate(names)}
-    est = joint_bound(model, rows, cfg.term2, seed)
-    contrast = est.reshape(batch_size, n_neg).logsumexp(axis=1)
-    return (-cfg.gamma * pos + contrast).mean()

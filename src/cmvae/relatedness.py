@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import iwae, unimodal_marginal
 from .data import PairedDataset, UnimodalData, pair_random, subset
+from .models import MultimodalModel
 
 THRESHOLD_RULES = ("max-f1", "max-accuracy")
 
@@ -68,8 +69,16 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
 
 
 def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
-                  chunk: int = 256) -> np.ndarray:
-    """PMI for every pair in the dataset, evaluated in fixed-size chunks."""
+                  chunk: int = 128) -> np.ndarray:
+    """PMI for every pair in the dataset, evaluated in fixed-size chunks.
+
+    A trained model is scored through its frozen view and in chunks of
+    128, so each chunk's temporaries (2 MB per hidden layer at K=30) are
+    freed as they die and reused from the heap by the next chunk instead
+    of being mapped and faulted in again.
+    """
+    if isinstance(model, MultimodalModel):
+        model = model.frozen()
     names = list(ds.spec.modality_names)
     out = np.empty(len(ds), dtype=np.float64)
     for start in range(0, len(ds), chunk):

@@ -1,10 +1,15 @@
 """Deterministic seed derivation.
 
 All randomness in the library flows from explicit integer seeds through
-these helpers.  Estimator noise is keyed on the *content* of the item being
-scored (hash of its observation bytes) rather than its batch position, so
-per-item estimates are invariant to batch permutation and to the
-composition of the surrounding batch.
+these helpers.  Estimator noise is keyed on the *content* of the rows it
+belongs to (a hash of their observation bytes) rather than on batch
+position, so per-item estimates are invariant to batch permutation and to
+the composition of the surrounding batch.  Draws that depend on one
+modality (the mixture posterior's components, unimodal marginals) are
+keyed on that modality's row alone under a modality-tagged stream, so
+every pair that shares the row shares its draws; draws from a posterior
+over the whole pair are keyed on the pair's rows in canonical modality
+order.
 """
 
 from __future__ import annotations
@@ -27,18 +32,18 @@ def tag(name: str) -> int:
 
 
 def content_key(*rows: np.ndarray) -> int:
-    """Order-insensitive hash of the row contents.
+    """Hash of the ordered row contents.
 
-    Per-row digests are combined by XOR, so the key of a multimodal pair
-    does not depend on which modality is listed first; swapping modality
-    roles then reuses the same noise draws.
+    Each row enters tagged with its position and byte length, so equal
+    rows never cancel and (a, b) keys differently from (b, a).  Callers
+    list modalities in canonical name order, which is what makes keys
+    independent of how the modality list was written down.
     """
-    acc = 0
-    for row in rows:
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(row, dtype=np.float64).tobytes(), digest_size=8).digest()
-        acc ^= int.from_bytes(digest, "little")
-    return acc & MASK63
+    h = hashlib.blake2b(digest_size=8)
+    for position, row in enumerate(rows):
+        data = np.ascontiguousarray(row, dtype=np.float64).tobytes()
+        h.update(position.to_bytes(8, "little") + len(data).to_bytes(8, "little") + data)
+    return int.from_bytes(h.digest(), "little") & MASK63
 
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -32,6 +32,10 @@ TRAINLOG_SCHEMA = "# cmvae-trainlog-v1"
 SWEEP_SCHEMA = "# cmvae-sweep-v1"
 
 
+class ConfigError(ValueError):
+    """A config that cannot run, such as a batch too small for its negatives."""
+
+
 class NumericalAbort(RuntimeError):
     """Loss, gradients or parameters went non-finite; carries the last good checkpoint path."""
 
@@ -221,7 +225,10 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         table = []
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4))
-            name = take(name_len).decode()
+            try:
+                name = take(name_len).decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: corrupt checkpoint name table") from None
             code = take(1) if version > 1 else b"f"
             if code not in _CHECKPOINT_DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code!r} for {name!r}")
@@ -236,11 +243,22 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
 
 
 def restore_state(cfg: RunConfig, path: str) -> TrainState:
+    """Training state saved at `path`, for the model that `cfg` describes.
+
+    Raises ValueError naming the path if the file is not a readable
+    checkpoint or was written for a different model.
+    """
     arrays = read_checkpoint(path)
     model = build_model_from_config(cfg)
-    for k in model.params:
+    shapes = {k: p.value.shape for k, p in model.params.items()}
+    shapes.update({f"adam.{m}.{k}": shape for k, shape in list(shapes.items()) for m in "mv"})
+    shapes.update({f"trainer.{k}": () for k in ("adam_t", "step", "seed")})
+    for k, shape in shapes.items():
         if k not in arrays:
-            raise ValueError(f"checkpoint missing parameter {k!r}")
+            raise ValueError(f"{path}: checkpoint has no entry {k!r}")
+        if arrays[k].shape != shape:
+            raise ValueError(f"{path}: entry {k!r} has shape {arrays[k].shape}, the config expects {shape}")
+    for k in model.params:
         model.params[k] = Tensor.param(arrays[k].copy(), name=k)
     opt = Adam(model.params, cfg.optimizer)
     for k in opt.m:
@@ -354,8 +372,9 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     dataset; extra_steps then bounds the continuation rather than the
     config's step budget.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
     ds = dataset if dataset is not None else build_dataset(cfg)
+    check_batch_size(cfg, len(ds))
+    os.makedirs(cfg.output_dir, exist_ok=True)
     if state is None:
         model = build_model_from_config(cfg)
         state = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer),
@@ -408,6 +427,16 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     return state
 
 
+def check_batch_size(cfg: RunConfig, num_pairs: int) -> None:
+    """Raise ConfigError unless train's batch from `num_pairs` pairs can supply the negatives."""
+    batch = min(cfg.optimizer.batch_size, num_pairs)
+    n_neg = cfg.objective.num_negatives
+    if cfg.objective.variant != "baseline" and batch <= n_neg:
+        raise ConfigError(f"run {cfg.run_id!r}: a batch of {batch} pairs (batch_size "
+                             f"{cfg.optimizer.batch_size}, {num_pairs} pairs of data) must "
+                             f"exceed num_negatives {n_neg}")
+
+
 def _all_finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
@@ -417,7 +446,7 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30) -> float:
     related, _ = _eval_dataset(cfg)
     names = list(related.spec.modality_names)
     obs = related.pair_observations()
-    vals = iwae(model, obs[names[0]], obs[names[1]], num_samples, cfg.seed + 13).value
+    vals = iwae(model.frozen(), obs[names[0]], obs[names[1]], num_samples, cfg.seed + 13).value
     return float(vals.mean())
 
 
@@ -450,14 +479,21 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
 
 
 def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:
-    """Train each (key values, config) run from scratch, then write one metrics row per run."""
+    """Train each (key values, config) run from scratch, then write one metrics row per run.
+
+    Every run's dataset is built and checked before the first file is written.
+    """
+    runs = [(key_values, rcfg, build_dataset(rcfg)) for key_values, rcfg in runs]
+    for _, rcfg, ds in runs:
+        check_batch_size(rcfg, len(ds))
     columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
     rows = []
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(SWEEP_SCHEMA + "\n")
         fh.write(csv_line(columns))
-        for key_values, rcfg in runs:
-            state = train(rcfg, evaluate=False)
+        for key_values, rcfg, ds in runs:
+            state = train(rcfg, dataset=ds, evaluate=False)
             row = evaluate_model(state.model, rcfg, state.step)
             row.update(key_values)
             if heldout:
@@ -510,7 +546,7 @@ def run_pipeline(cfg: RunConfig, pcfg: relatedness.PropagationConfig) -> tuple[r
             precision=quality["precision"], recall=quality["recall"], f1=quality["f1"],
             metrics_before=before, metrics_after=after)
         return report, {"stage": "done", "state": state}
-    except NumericalAbort:
+    except (NumericalAbort, ConfigError):
         raise
     except Exception as exc:
         raise RuntimeError(f"propagation pipeline failed at stage {stage!r}: {exc}") from exc

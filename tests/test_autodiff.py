@@ -214,6 +214,16 @@ def test_getitem_slice_gradient():
     assert np.array_equal(x.grad, expect)
 
 
+def test_getitem_repeated_indices_accumulate_gradient():
+    x = Tensor.param(np.arange(3.0))
+    backward(x[[0, 0, 2]].sum())
+    assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+    y = Tensor.param(np.zeros((2, 3)))
+    rows, cols = np.array([[1, 1], [0, 1]]), np.arange(2)
+    backward((y[rows, cols] * np.array([[1.0, 2.0], [4.0, 8.0]])).sum())
+    assert np.array_equal(y.grad, [[4.0, 0.0, 0.0], [1.0, 10.0, 0.0]])
+
+
 def test_concat_gradient_splits():
     a = Tensor.param(np.ones(2), name="a")
     b = Tensor.param(np.ones(3), name="b")

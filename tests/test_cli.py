@@ -111,6 +111,55 @@ def test_sweep_data_csv(tmp_path):
                  "--variants", "cZ"]) == 2
 
 
+def test_batch_not_exceeding_negatives_fails_before_writing(tmp_path, capsys):
+    # 10% of 48 items leaves 5 pairs: a batch of 5 cannot supply 5 negatives
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    capsys.readouterr()
+    assert main(["sweep-data", "--config", path, "--percents", "100,10",
+                 "--variants", "cI"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "num_negatives 5" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(cfg.output_dir)
+    # the baseline draws no negatives, so the same subset trains
+    assert main(["sweep-data", "--config", path, "--percents", "10",
+                 "--variants", "baseline"]) == 0
+    _, small = tiny_config_file(tmp_path / "small", steps=2)
+    with open(small) as fh:
+        raw = json.load(fh)
+    raw["optimizer"]["batch_size"] = 5
+    with open(small, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["train", "--config", small]) == 2
+    assert not os.path.exists(raw["output_dir"])
+
+
+def test_eval_reports_unreadable_checkpoint(tmp_path, capsys):
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    assert main(["train", "--config", path]) == 0
+    data = open(os.path.join(cfg.output_dir, "t.ckpt"), "rb").read()
+    foreign = np.random.default_rng(0).bytes(len(data))
+    other_cfg, other_path = tiny_config_file(tmp_path / "other", steps=0)
+    with open(other_path) as fh:
+        raw = json.load(fh)
+    raw["model"]["hidden_dim"] = 5
+    with open(other_path, "w") as fh:
+        json.dump(raw, fh)
+    cases = {"cut.ckpt": data[:-3], "head.ckpt": data[:9], "foreign.ckpt": foreign}
+    for name, content in cases.items():
+        with open(tmp_path / name, "wb") as fh:
+            fh.write(content)
+    checks = [(str(tmp_path / name), path) for name in cases]
+    checks += [(str(tmp_path / "absent.ckpt"), path),
+               (os.path.join(cfg.output_dir, "t.ckpt"), other_path)]  # saved for another model
+    capsys.readouterr()
+    for ckpt, config in checks:
+        assert main(["eval", "--checkpoint", ckpt, "--config", config]) == 4, ckpt
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and ckpt in err, err
+        assert err.count("\n") == 1, err
+
+
 def test_propagate_writes_report(tmp_path):
     cfg, path = tiny_config_file(tmp_path, steps=20)
     assert main(["propagate", "--config", path, "--pretrain-percent", "30",

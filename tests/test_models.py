@@ -174,3 +174,31 @@ def test_modality_order_is_canonical():
     mods = [ModalitySpec("zebra", 3), ModalitySpec("ant", 4)]
     model = build_model(mods, joint_kind="moe", seed=0)
     assert [m.name for m in model.modalities] == ["ant", "zebra"]
+
+
+def test_frozen_view_shares_values_and_records_no_graph():
+    from cmvae.bounds import iwae
+    model = two_modality_model(seed=21)
+    rng = np.random.default_rng(9)
+    for p in model.params.values():
+        p.value = p.value + 0.2 * rng.standard_normal(p.value.shape)
+    x, y = rng.uniform(size=(5, 6)), rng.standard_normal((5, 6))
+    frozen = model.frozen()
+    assert all(frozen.params[k].value is p.value for k, p in model.params.items())
+    est = iwae(frozen, x, y, 4, seed=2)
+    assert not est.requires_grad
+    assert np.array_equal(est.value, iwae(model, x, y, 4, seed=2).value)
+
+
+def test_moe_draws_keyed_per_modality_row():
+    mods = [ModalitySpec("m1", 3, "gaussian"), ModalitySpec("m2", 3, "gaussian")]
+    model = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind="moe", seed=0)
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    # untrained posteriors are N(0, I), so the draws are the raw noise
+    z, _ = model.joint_posterior_samples({"m1": x, "m2": x}, 6, seed=3)
+    assert not np.array_equal(z.value[:, :3], z.value[:, 3:])  # equal rows, distinct streams
+    z2, _ = model.joint_posterior_samples({"m1": x, "m2": y}, 6, seed=3)
+    assert np.array_equal(z2.value[:, :3], z.value[:, :3])  # a row's draws ignore its partner
+    expect = per_row_normal(3, "joint_posterior.m2", [(r,) for r in y], (3, 2))
+    assert np.array_equal(z2.value[:, 3:], expect)

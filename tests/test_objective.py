@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cmvae.autodiff import Tensor
+from cmvae.autodiff import Tensor, backward, finite_difference_check
 from cmvae import bounds
 from cmvae.bounds import EstimatorSpec
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
-from cmvae.objective import (
-    ObjectiveConfig,
-    draw_index_matrix,
-    draw_negatives,
-    final_objective,
-    multimodal_objective,
-)
+from cmvae.objective import ObjectiveConfig, draw_negatives, final_objective
 
 
 def toy_model(joint_kind="moe", seed=0, obs_dim=4, m=2):
@@ -195,50 +189,97 @@ def test_modality_swap_invariance_bit_exact():
     assert t1a == t1b and t2a == t2b
 
 
-def test_multimodal_objective_invocation_count_per_anchor(monkeypatch):
-    # exactly N + 1 joint evaluations per anchor, independent of M
-    scored = []
-    original = bounds.joint_log_weights
-
-    def counting(model, obs_by_modality, num_samples, seed):
-        log_w = original(model, obs_by_modality, num_samples, seed)
-        scored.append(log_w.shape[0])
-        return log_w
-
-    monkeypatch.setattr(bounds, "joint_log_weights", counting)
-    for m in (2, 3, 4):
-        model = toy_model(m=m, seed=m)
-        rng = np.random.default_rng(m)
-        batch = 6
-        obs = {f"m{i+1}": rng.standard_normal((batch, 4)) for i in range(m)}
-        cfg = ObjectiveConfig.for_variant("cI", num_negatives=5, num_samples=12)
-        J = draw_index_matrix(m, 5, batch, seed=m)
-        scored.clear()
-        multimodal_objective(model, obs, J, cfg, seed=0)
-        assert sum(scored) / batch == 6  # N + 1
+def perturbed_model(joint_kind="moe", likelihoods=("gaussian", "bernoulli"), seed=0, obs_dim=3):
+    """Small model with every parameter moved off its initial value, so the
+    unimodal posteriors differ between rows and modalities."""
+    mods = [ModalitySpec(f"m{i+1}", obs_dim, lik) for i, lik in enumerate(likelihoods)]
+    model = build_model(mods, latent_dim=2, hidden_dim=5, joint_kind=joint_kind, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for p in model.params.values():
+        p.value = p.value + 0.4 * rng.standard_normal(p.value.shape)
+    return model
 
 
-def test_multimodal_objective_all_equal_identity():
-    for m in (2, 4):
-        model, obs = patched_const_model(-10.0, batch=6, m=m)
-        cfg = ObjectiveConfig.for_variant("cI", gamma=2.0, num_negatives=5, num_samples=2)
-        J = draw_index_matrix(m, 5, 6, seed=1)
-        loss = multimodal_objective(model, obs, J, cfg, seed=0)
-        assert float(loss.value) == pytest.approx(10.0 + math.log(5.0), abs=1e-9)
+def pair_batch(model, batch, seed):
+    rng = np.random.default_rng(seed)
+    return {m.name: (rng.uniform(size=(batch, m.obs_dim)) if m.likelihood == "bernoulli"
+                     else rng.standard_normal((batch, m.obs_dim))) for m in model.modalities}
 
 
-def test_multimodal_objective_index_bounds():
-    model = toy_model(m=3, seed=1)
-    rng = np.random.default_rng(1)
-    obs = {f"m{i+1}": rng.standard_normal((4, 4)) for i in range(3)}
-    cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=2)
-    J = np.array([[0, 1], [1, 9], [0, 0]])
-    with pytest.raises(IndexError):
-        multimodal_objective(model, obs, J, cfg, seed=0)
+def per_direction_objective(model, obs, cfg, seed):
+    """Reference loss: the positive batch plus one joint_bound call per
+    direction over repeated and gathered pair rows."""
+    names = [m.name for m in model.modalities]
+    batch_size = obs[names[0]].shape[0]
+    n_neg = cfg.num_negatives
+    negatives = draw_negatives(batch_size, names, n_neg, seed)
+    pos = bounds.joint_bound(model, obs, cfg.term1, seed)
+    lse = []
+    for replaced in names:
+        kept = names[0] if replaced == names[1] else names[1]
+        rows = {kept: np.repeat(obs[kept], n_neg, axis=0),
+                replaced: obs[replaced][negatives.indices[replaced].reshape(-1)]}
+        est = bounds.joint_bound(model, rows, cfg.term2, seed)
+        lse.append(est.reshape(batch_size, n_neg).logsumexp(axis=1))
+    contrast = 0.5 * (lse[0] + lse[1])
+    return (-cfg.gamma * pos + contrast).mean(), float(pos.mean().value), float(contrast.mean().value)
 
 
-def test_index_matrix_shape_and_range():
-    J = draw_index_matrix(3, 5, (10, 20, 30), seed=2)
-    assert J.shape == (3, 5)
-    for m, size in enumerate((10, 20, 30)):
-        assert J[m].min() >= 0 and J[m].max() < size
+@pytest.mark.parametrize("likelihoods", [("gaussian", "gaussian"), ("bernoulli", "bernoulli"),
+                                         ("bernoulli", "gaussian")])
+@pytest.mark.parametrize("kind", ["iwae", "cubo"])
+def test_moe_pair_matrix_matches_direct_bound(likelihoods, kind):
+    model = perturbed_model(likelihoods=likelihoods, seed=4)
+    obs = pair_batch(model, 5, seed=5)
+    spec = EstimatorSpec(kind, 6)
+    rows, cols = np.divmod(np.arange(25), 5)
+    log_w = bounds.joint_log_weights(model, obs, 6, seed=9, pairs={"m1": rows, "m2": cols})
+    matrix = bounds.bound_from_log_weights(log_w, kind).value
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        direct = bounds.joint_bound(model, {"m1": obs["m1"][i:i + 1], "m2": obs["m2"][j:j + 1]},
+                                    spec, seed=9).value[0]
+        assert matrix[p] == pytest.approx(direct, rel=1e-12, abs=0.0)
+    # the positives are the plain batch bound
+    diag = bounds.joint_bound(model, obs, spec, seed=9).value
+    np.testing.assert_allclose(matrix[rows == cols], diag, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("joint_kind", ["moe", "poe", "explicit"])
+@pytest.mark.parametrize("variant", ["cI", "cC"])
+def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
+    model = perturbed_model(joint_kind=joint_kind, seed=6)
+    obs = pair_batch(model, 7, seed=7)
+    cfg = ObjectiveConfig.for_variant(variant, num_negatives=3, num_samples=4)
+    loss, term1, term2 = final_objective(model, obs, cfg, seed=12)
+    grads = backward(loss, model.params)
+    ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=12)
+    for p in model.params.values():
+        p.grad = None
+    ref_grads = backward(ref_loss, model.params)
+    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
+    assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
+    for k in grads:
+        np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-9, atol=1e-12, err_msg=k)
+
+
+def test_final_objective_unequal_sample_counts():
+    model = perturbed_model(seed=8)
+    obs = pair_batch(model, 6, seed=8)
+    cfg = ObjectiveConfig(variant="cC", gamma=1.5, num_negatives=2,
+                          term1=EstimatorSpec("iwae", 4), term2=EstimatorSpec("cubo", 8))
+    loss, term1, term2 = final_objective(model, obs, cfg, seed=3)
+    ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=3)
+    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
+    assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
+    # the positive term is the plain K=4 batch bound, not a slice of the K=8 draws
+    assert term1 == pytest.approx(float(bounds.joint_bound(model, obs, cfg.term1, 3).mean().value),
+                                  rel=1e-12)
+
+
+def test_final_objective_moe_gradients_match_finite_differences():
+    model = perturbed_model(likelihoods=("bernoulli", "gaussian"), seed=10, obs_dim=2)
+    obs = pair_batch(model, 4, seed=10)
+    obs["m1"] = 0.2 + 0.6 * obs["m1"]
+    cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
+    assert finite_difference_check(lambda params: final_objective(model, obs, cfg, seed=5)[0],
+                                   model.params, h=1e-5) < 1e-5

@@ -18,11 +18,16 @@ def test_tag_stable_and_distinct():
     assert tag("batch") != tag("step_noise")
 
 
-def test_content_key_order_insensitive():
-    x = np.arange(4.0)
-    y = np.arange(4.0, 8.0)
-    assert content_key(x, y) == content_key(y, x)
-    assert content_key(x, y) != content_key(x, x)
+def test_content_key_equal_content_pairs_distinct_and_nonzero():
+    rows = [np.arange(4.0), np.arange(4.0, 8.0), np.zeros(4), -np.ones(4)]
+    same = [content_key(r, r) for r in rows]
+    assert all(k != 0 for k in same)
+    assert len(set(same)) == len(rows)
+    x, y = rows[:2]
+    # ordered: position and length are part of the key
+    assert content_key(x, y) != content_key(y, x)
+    assert content_key(x) != content_key(x, x)
+    assert content_key(np.arange(8.0)) != content_key(x, y)
 
 
 def test_per_row_normal_keyed_by_content_not_position():
