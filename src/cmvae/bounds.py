@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-from .distributions import sample_per_row, standard_normal_log_prob
+from .autodiff import Tensor, concat
+from .distributions import DiagonalGaussian, standard_normal_log_prob
 from .seeding import per_row_normal
 
 ESTIMATOR_KINDS = ("elbo", "iwae", "cubo")
@@ -112,17 +112,75 @@ def cubo(model, x, y, num_samples: int, seed: int) -> Tensor:
     return joint_bound(model, _pair_obs(model, x, y), EstimatorSpec("cubo", num_samples), seed)
 
 
-def unimodal_marginal(model, name: str, obs, num_samples: int, seed: int) -> Tensor:
+@dataclass(frozen=True)
+class UnimodalDraws:
+    """S draws per row from one modality's unimodal posterior, with the parts of their log weights.
+
+    Noise is keyed on each row alone under the mixture posterior's stream
+    "joint_posterior.<name>".  per_row_normal is counter-based, so the
+    first S/M draws of a row are exactly the ones a mixture posterior over
+    M modalities takes from it (MultimodalModel.joint_posterior_samples).
+    """
+
+    q: DiagonalGaussian  # per-row parameters viewed as (B, 1, L)
+    z: Tensor  # (B, S, L)
+    log_prior: Tensor  # log p(z), (B, S)
+    log_lik: Tensor  # log p(obs | z) under this modality's own decoder, (B, S)
+    log_q: Tensor  # log q(z | obs), (B, S)
+
+
+def unimodal_draws(model, name: str, obs, num_samples: int, seed: int) -> UnimodalDraws:
+    model.modality(name)  # raises UnknownModalityError for bad names
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    q = model.encode_unimodal(name, obs).per_row()
+    noise = per_row_normal(seed, f"joint_posterior.{name}", [(r,) for r in obs],
+                           (num_samples, model.latent_dim))
+    z = q.rsample(noise)
+    return UnimodalDraws(q=q, z=z, log_prior=standard_normal_log_prob(z),
+                         log_lik=model.decode(name, z).log_prob(obs[:, None, :]),
+                         log_q=q.log_prob(z))
+
+
+def unimodal_marginal(model, name: str, obs, num_samples: int, seed: int,
+                      draws: UnimodalDraws | None = None) -> Tensor:
     """IWAE estimate of one modality's marginal log-likelihood.
 
     Uses the unimodal encoder as the proposal and only that modality's
-    decoder likelihood in the weights.
+    decoder likelihood in the weights, at unimodal_draws(model, name, obs,
+    num_samples, seed).  A caller that already holds those draws passes
+    them as `draws`; they must have one row per row of obs and num_samples
+    draws per row.
     """
-    model.modality(name)  # raises UnknownModalityError for bad names
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    q = model.encode_unimodal(name, obs)
-    noise = per_row_normal(seed, f"unimodal_marginal.{name}", [(r,) for r in obs],
-                           (num_samples, model.latent_dim))
-    z, log_q = sample_per_row(q, noise)
-    log_w = standard_normal_log_prob(z) + model.decode(name, z).log_prob(obs[:, None, :]) - log_q
-    return bound_from_log_weights(log_w, "iwae")
+    if draws is None:
+        draws = unimodal_draws(model, name, obs, num_samples, seed)
+    elif draws.z.shape[:2] != (np.atleast_2d(obs).shape[0], num_samples):
+        raise ValueError(f"draws of shape {draws.z.shape[:2]} do not match "
+                         f"{np.atleast_2d(obs).shape[0]} rows x {num_samples} samples")
+    return bound_from_log_weights(draws.log_prior + draws.log_lik - draws.log_q, "iwae")
+
+
+def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict) -> Tensor:
+    """joint_log_weights of a mixture model from unimodal draws already made, shape (B, S).
+
+    Pair p is row p of every modality, and draws[m] holds S unimodal_draws
+    of modality m.  Block m of the joint's S draws is the first S/M of
+    draws[m] (MultimodalModel.mixture_samples); there the prior and m's own
+    likelihood are read from draws[m], and only the other modalities'
+    decoders run.  Slots and terms are ordered as in joint_log_weights, so
+    for draws made with `seed` the result is joint_log_weights(model,
+    obs_by_modality, S, seed) bit for bit.
+    """
+    names = [m.name for m in model.modalities]
+    s = draws[names[0]].z.shape[1]
+    if s % len(names) != 0:
+        raise ValueError(f"mixture posterior needs num_samples divisible by {len(names)}, got {s}")
+    per = s // len(names)
+    head = {n: draws[n].z[:, :per] for n in names}
+    _, log_q = model.mixture_samples([draws[n].q for n in names], [head[n] for n in names])
+    log_p = concat([draws[n].log_prior[:, :per] for n in names], axis=1)
+    for target in sorted(names):
+        obs = np.atleast_2d(np.asarray(obs_by_modality[target], dtype=np.float64))[:, None, :]
+        log_p = log_p + concat([draws[n].log_lik[:, :per] if n == target
+                                else model.decode(target, head[n]).log_prob(obs)
+                                for n in names], axis=1)
+    return log_p - log_q

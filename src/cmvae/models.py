@@ -160,12 +160,21 @@ class MultimodalModel:
                                    (per, self.latent_dim))
             comps.append(q)
             draws.append(q.rsample(noise))
-        z = concat(draws, axis=1)
         if pairs is None:
-            return z, _mixture_log_prob(comps, z)
+            return self.mixture_samples(comps, draws)
+        z = concat(draws, axis=1)
         pair_comps = [q.map_rows(lambda t, rows=pairs[spec.name]: t[np.asarray(rows)])
                       for q, spec in zip(comps, self.modalities)]
         return z, _mixture_log_prob(pair_comps, self.pair_draws(z, pairs))
+
+    def mixture_samples(self, comps: list[DiagonalGaussian], draws: list[Tensor]) -> tuple[Tensor, Tensor]:
+        """The mixture posterior's draw grid z (B, S, L) and log q(z), pair p being row p of each modality.
+
+        comps[m] and its S/M draws per row, draws[m] (B, S/M, L), belong to
+        self.modalities[m] (name order); z holds the draws block by block.
+        """
+        z = concat(draws, axis=1)
+        return z, _mixture_log_prob(comps, z)
 
     def pair_draws(self, t: Tensor, pairs: dict) -> Tensor:
         """Per-pair view (P, S, ...) of a quantity t (B, S, ...) on the mixture's draw grid.

@@ -1,10 +1,12 @@
 """Relatedness scoring and label propagation.
 
 A trained model scores a pair by pointwise mutual information,
-iwae(x, y) - marginal(x) - marginal(y), all three terms sharing one seed
-derivation per item.  A threshold fitted on a small mixed set with known
-relatedness then flags related pairs in the unlabeled remainder; the
-flagged pairs rejoin the training set for a continuation run.
+iwae(x, y) - marginal(x) - marginal(y).  Every term keys its noise on item
+content, so a pair's score does not depend on its chunk or batch; a
+mixture model's three terms share one draw block per modality row.  A
+threshold fitted on a small mixed set with known relatedness then flags
+related pairs in the unlabeled remainder; the flagged pairs rejoin the
+training set for a continuation run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import iwae, unimodal_marginal
+from .bounds import (bound_from_log_weights, iwae, mixture_joint_log_weights, unimodal_draws,
+                     unimodal_marginal)
 from .data import PairedDataset, UnimodalData, pair_random, subset
 from .models import MultimodalModel
 
@@ -60,12 +63,25 @@ class PropagationReport:
 
 
 def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
-    """Per-item pointwise mutual information estimate (detached values)."""
+    """Per-item pointwise mutual information estimate (detached values).
+
+    A mixture model draws each modality row once: its unimodal marginal
+    uses all S draws, and the joint uses the first S/M of every modality's
+    draws, which are the mixture posterior's own (see UnimodalDraws).
+    Other models compose three estimates that share one seed.
+    """
     names = [m.name for m in model.modalities]
-    joint = iwae(model, x, y, num_samples, seed).value
-    mx = unimodal_marginal(model, names[0], x, num_samples, seed).value
-    my = unimodal_marginal(model, names[1], y, num_samples, seed).value
-    return joint - mx - my
+    if len(names) != 2:
+        raise ValueError("pmi scores pairs of a two-modality model")
+    obs = dict(zip(names, (x, y)))
+    if getattr(model, "joint_kind", None) == "moe":
+        draws = {n: unimodal_draws(model, n, obs[n], num_samples, seed) for n in names}
+        joint = bound_from_log_weights(mixture_joint_log_weights(model, obs, draws), "iwae")
+    else:
+        draws = dict.fromkeys(names)
+        joint = iwae(model, x, y, num_samples, seed)
+    mx, my = (unimodal_marginal(model, n, obs[n], num_samples, seed, draws[n]).value for n in names)
+    return joint.value - mx - my
 
 
 def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,

@@ -5,11 +5,14 @@ these helpers.  Estimator noise is keyed on the *content* of the rows it
 belongs to (a hash of their observation bytes) rather than on batch
 position, so per-item estimates are invariant to batch permutation and to
 the composition of the surrounding batch.  Draws that depend on one
-modality (the mixture posterior's components, unimodal marginals) are
-keyed on that modality's row alone under a modality-tagged stream, so
-every pair that shares the row shares its draws; draws from a posterior
-over the whole pair are keyed on the pair's rows in canonical modality
-order.
+modality are keyed on that modality's row alone under the stream
+"joint_posterior.<name>", so every pair that shares the row shares its
+draws.  The mixture posterior's components and the unimodal marginals
+both draw there: per_row_normal is counter-based, so a row's first S'
+draws are the same whatever S >= S' is asked for, and a mixture's S/M
+draws from a row are the first S/M of that row's marginal draws.  Draws
+from a posterior over the whole pair are keyed on the pair's rows in
+canonical modality order.
 """
 
 from __future__ import annotations

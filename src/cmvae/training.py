@@ -19,7 +19,8 @@ import numpy as np
 from . import evaluation, relatedness
 from .autodiff import Tensor, backward, zero_grads
 from .bounds import EstimatorSpec, iwae
-from .data import FactorSpec, PairedDataset, make_related_dataset, subset
+from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
+                   pair_related, subset)
 from .models import MultimodalModel, ModalitySpec, build_model
 from .objective import ObjectiveConfig, final_objective
 from .seeding import derive_rng, tag
@@ -300,22 +301,40 @@ def csv_line(cells) -> str:
     return ",".join(_cell(c) for c in cells) + "\n"
 
 
-def _eval_dataset(cfg: RunConfig) -> tuple[PairedDataset, PairedDataset]:
-    """Held-out related and randomly-mixed sets for metric rows."""
-    from .data import generate_unimodal, pair_related, pair_random
-    f = cfg.dataset.factors
-    n = cfg.eval_items
-    seed = cfg.dataset.seed + 7919
+@dataclass(frozen=True)
+class HeldOut:
+    """Held-out related and randomly-mixed sets with the oracle classifiers, for metric rows."""
+
+    related: PairedDataset
+    mixed: PairedDataset
+    oracles: dict[str, evaluation.OracleClassifier]
+
+
+def heldout_sets(cfg: RunConfig) -> HeldOut:
+    """Build a run's held-out sets; its evaluations share them, so every array is read-only."""
+    f, n, seed = cfg.dataset.factors, cfg.eval_items, cfg.dataset.seed + 7919
     x = generate_unimodal(f, n, f.modality_names[0], seed)
     y = generate_unimodal(f, n, f.modality_names[1], seed + 1)
-    return (pair_related(f, x, y, pairs_per_instance=1, seed=seed),
-            pair_random(f, x, y, seed=seed + 2))
+    out = HeldOut(related=pair_related(f, x, y, pairs_per_instance=1, seed=seed),
+                  mixed=pair_random(f, x, y, seed=seed + 2),
+                  oracles=evaluation.oracle_classifiers(f))
+    arrays = [o for c in out.oracles.values() for o in (c.class_means, c.precision)]
+    for ds in (out.related, out.mixed):
+        arrays += [*ds.observations.values(), *ds.labels.values(), ds.pairs, ds.related]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return out
 
 
-def evaluate_model(model, cfg: RunConfig, step: int) -> dict:
-    """One metrics row: accuracies, coherences, and PMI separation."""
-    related, mixed = _eval_dataset(cfg)
-    oracles = evaluation.oracle_classifiers(cfg.dataset.factors)
+def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = None) -> dict:
+    """One metrics row: accuracies, coherences, and PMI separation.
+
+    `heldout` defaults to heldout_sets(cfg); a run that evaluates more than
+    once builds it once and passes it.
+    """
+    model = model.frozen()
+    heldout = heldout or heldout_sets(cfg)
+    related, mixed, oracles = heldout.related, heldout.mixed, heldout.oracles
     names = list(cfg.dataset.factors.modality_names)
     seed = cfg.seed + 104729
 
@@ -373,7 +392,8 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     config's step budget.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
-    check_batch_size(cfg, len(ds))
+    check_config(cfg, len(ds))
+    heldout = heldout_sets(cfg) if evaluate else None
     os.makedirs(cfg.output_dir, exist_ok=True)
     if state is None:
         model = build_model_from_config(cfg)
@@ -419,31 +439,50 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                 save_checkpoint(state, ckpt_path)
                 last_good = ckpt_path
                 if evaluate:
-                    _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step))
+                    _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step, heldout))
 
     save_checkpoint(state, ckpt_path)
     if evaluate and (cfg.eval_every == 0 or state.step % cfg.eval_every != 0 or steps == 0):
-        _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step))
+        _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step, heldout))
     return state
 
 
-def check_batch_size(cfg: RunConfig, num_pairs: int) -> None:
-    """Raise ConfigError unless train's batch from `num_pairs` pairs can supply the negatives."""
+def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = None) -> None:
+    """Raise ConfigError for a run that would fail after its first file is written.
+
+    train's batch from `num_pairs` pairs must supply the negatives, and a
+    mixture posterior must split every sample count evenly across the
+    modalities: the objective's estimators and, for a propagation run,
+    `pmi_num_samples`.
+    """
     batch = min(cfg.optimizer.batch_size, num_pairs)
     n_neg = cfg.objective.num_negatives
     if cfg.objective.variant != "baseline" and batch <= n_neg:
         raise ConfigError(f"run {cfg.run_id!r}: a batch of {batch} pairs (batch_size "
                              f"{cfg.optimizer.batch_size}, {num_pairs} pairs of data) must "
                              f"exceed num_negatives {n_neg}")
+    if cfg.model.joint_kind != "moe":
+        return
+    m = len(cfg.dataset.factors.modality_names)
+    counts = {"objective.term1": cfg.objective.term1.num_samples}
+    if cfg.objective.term2 is not None:
+        counts["objective.term2"] = cfg.objective.term2.num_samples
+    if pmi_num_samples is not None:
+        counts["pmi_num_samples"] = pmi_num_samples
+    for where, k in counts.items():
+        if k % m != 0:
+            raise ConfigError(f"run {cfg.run_id!r}: the mixture posterior splits samples evenly "
+                              f"across {m} modalities, but {where} has num_samples {k}")
 
 
 def _all_finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30) -> float:
+def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
+                        heldout: HeldOut | None = None) -> float:
     """IWAE estimate of the joint log-likelihood on held-out related pairs."""
-    related, _ = _eval_dataset(cfg)
+    related = (heldout or heldout_sets(cfg)).related
     names = list(related.spec.modality_names)
     obs = related.pair_observations()
     vals = iwae(model.frozen(), obs[names[0]], obs[names[1]], num_samples, cfg.seed + 13).value
@@ -485,7 +524,7 @@ def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[
     """
     runs = [(key_values, rcfg, build_dataset(rcfg)) for key_values, rcfg in runs]
     for _, rcfg, ds in runs:
-        check_batch_size(rcfg, len(ds))
+        check_config(rcfg, len(ds))
     columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
     rows = []
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
@@ -494,10 +533,11 @@ def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[
         fh.write(csv_line(columns))
         for key_values, rcfg, ds in runs:
             state = train(rcfg, dataset=ds, evaluate=False)
-            row = evaluate_model(state.model, rcfg, state.step)
+            sets = heldout_sets(rcfg)
+            row = evaluate_model(state.model, rcfg, state.step, sets)
             row.update(key_values)
             if heldout:
-                row["mean_test_loglik"] = mean_heldout_loglik(state.model, rcfg)
+                row["mean_test_loglik"] = mean_heldout_loglik(state.model, rcfg, heldout=sets)
             rows.append(row)
             fh.write(csv_line(row[c] for c in columns))
     return rows
@@ -511,10 +551,12 @@ def run_pipeline(cfg: RunConfig, pcfg: relatedness.PropagationConfig) -> tuple[r
         full_related = build_dataset(replace(cfg, dataset=replace(cfg.dataset, percent=100.0)))
         small_related, small_mixed, full_mixed = relatedness.carve_pipeline_datasets(
             full_related, pcfg.pretrain_percent, seed=cfg.seed)
+        check_config(cfg, len(small_related), pcfg.pmi_num_samples)
 
         stage = "pretrain"
         state = train(cfg, dataset=small_related, evaluate=False)
-        before = evaluate_model(state.model, cfg, state.step)
+        heldout = heldout_sets(cfg)
+        before = evaluate_model(state.model, cfg, state.step, heldout)
 
         if pcfg.pretrain_percent >= 100.0 or len(full_mixed) == 0:
             report = relatedness.PropagationReport(
@@ -539,7 +581,7 @@ def run_pipeline(cfg: RunConfig, pcfg: relatedness.PropagationConfig) -> tuple[r
             merged = relatedness.merge_predicted(small_related, full_mixed, predicted)
             state = train(cfg, dataset=merged, state=state,
                           extra_steps=cfg.optimizer.steps, evaluate=False)
-            after = evaluate_model(state.model, cfg, state.step)
+            after = evaluate_model(state.model, cfg, state.step, heldout)
 
         report = relatedness.PropagationReport(
             threshold=quality["threshold"], predicted=predicted,

@@ -134,6 +134,32 @@ def test_batch_not_exceeding_negatives_fails_before_writing(tmp_path, capsys):
     assert not os.path.exists(raw["output_dir"])
 
 
+def test_uneven_mixture_sample_count_fails_before_writing(tmp_path, capsys):
+    # the mixture posterior splits every sample count across 2 modalities
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    capsys.readouterr()
+    assert main(["propagate", "--config", path, "--pretrain-percent", "50",
+                 "--pmi-samples", "31"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "pmi_num_samples has num_samples 31" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(cfg.output_dir)
+    _, odd = tiny_config_file(tmp_path / "odd", steps=2)
+    with open(odd) as fh:
+        raw = json.load(fh)
+    for term in ("term1", "term2"):
+        raw["objective"][term]["num_samples"] = 5
+    with open(odd, "w") as fh:
+        json.dump(raw, fh)
+    for argv in (["train"], ["sweep-gamma", "--gammas", "2"],
+                 ["sweep-data", "--percents", "100", "--variants", "cI"],
+                 ["propagate", "--pretrain-percent", "50"]):
+        assert main(argv + ["--config", odd]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "num_samples 5" in err and err.count("\n") == 1
+        assert not os.path.exists(raw["output_dir"]), argv
+
+
 def test_eval_reports_unreadable_checkpoint(tmp_path, capsys):
     cfg, path = tiny_config_file(tmp_path, steps=2)
     assert main(["train", "--config", path]) == 0

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmvae.data import FactorSpec, make_related_dataset
+from cmvae.bounds import (bound_from_log_weights, iwae, joint_log_weights, mixture_joint_log_weights,
+                          unimodal_draws, unimodal_marginal)
+from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle
+from cmvae.models import ModalitySpec, MultimodalModel, build_model
 from cmvae.relatedness import (
     PropagationConfig,
     carve_pipeline_datasets,
@@ -63,6 +67,99 @@ def test_pmi_symmetric_with_exact_encoders():
     fwd = pmi(model, x, y, 16, seed=9)
     swapped = pmi(model, y, x, 16, seed=9)
     assert np.allclose(fwd, swapped, atol=1e-9)
+
+
+LIKELIHOOD_PAIRS = [("gaussian", "gaussian"), ("bernoulli", "bernoulli"), ("bernoulli", "gaussian")]
+
+
+def perturbed_model(likelihoods, joint_kind="moe", seed=1):
+    """A small model moved away from its initialisation, so no term is constant."""
+    mods = [ModalitySpec("m1", 5, likelihoods[0]), ModalitySpec("m2", 4, likelihoods[1])]
+    model = build_model(mods, latent_dim=3, hidden_dim=8, joint_kind=joint_kind, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p.value = p.value + 0.3 * rng.standard_normal(p.value.shape)
+    return model
+
+
+def random_pairs(model, n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(size=(n, m.obs_dim)) if m.likelihood == "bernoulli"
+            else rng.standard_normal((n, m.obs_dim)) for m in model.modalities]
+
+
+@pytest.mark.parametrize("likelihoods", LIKELIHOOD_PAIRS)
+def test_moe_pmi_terms_match_separate_estimators(likelihoods):
+    model = perturbed_model(likelihoods)
+    x, y = random_pairs(model, 9, seed=2)
+    names = ("m1", "m2")
+    obs = dict(zip(names, (x, y)))
+    draws = {n: unimodal_draws(model, n, obs[n], 6, seed=3) for n in obs}
+    log_w = mixture_joint_log_weights(model, obs, draws)
+    assert np.array_equal(log_w.value, joint_log_weights(model, obs, 6, seed=3).value)
+    joint = bound_from_log_weights(log_w, "iwae").value
+    alone = iwae(model, x, y, 6, seed=3).value
+    np.testing.assert_allclose(joint, alone, rtol=1e-12, atol=0)
+    marginals = [unimodal_marginal(model, n, obs[n], 6, seed=3).value for n in names]
+    for n, marginal in zip(names, marginals):
+        assert np.array_equal(unimodal_marginal(model, n, obs[n], 6, 3, draws[n]).value, marginal)
+    with pytest.raises(ValueError, match="do not match"):
+        unimodal_marginal(model, names[0], x, 4, 3, draws[names[0]])
+    with pytest.raises(ValueError, match="do not match"):
+        unimodal_marginal(model, names[0], x[:5], 6, 3, draws[names[0]])
+    np.testing.assert_allclose(pmi(model, x, y, 6, seed=3), alone - marginals[0] - marginals[1],
+                               rtol=0, atol=1e-12 * np.abs(alone).max())
+    with pytest.raises(ValueError, match="divisible by 2"):
+        pmi(model, x, y, 5, seed=3)
+    three = build_model(model.modalities + [ModalitySpec("m3", 2, "gaussian")], latent_dim=3,
+                        hidden_dim=8, joint_kind="moe", seed=1)
+    with pytest.raises(ValueError, match="two-modality"):
+        pmi(three, x, y, 6, seed=3)
+
+
+@pytest.mark.parametrize("joint_kind", ["moe", "poe"])
+def test_score_dataset_independent_of_chunk_and_pair_order(joint_kind):
+    spec = FactorSpec(num_classes=3, obs_dims=(5, 4), private_dims=(1, 1),
+                      likelihoods=("bernoulli", "gaussian"))
+    # 48 pairs, so no chunk of 7 holds one row: numpy hands a one-row product
+    # to BLAS gemv, which rounds differently from the gemm of larger chunks
+    mixed = pair_random(spec, generate_unimodal(spec, 48, "m1", 1),
+                        generate_unimodal(spec, 48, "m2", 2), seed=3)
+    model = perturbed_model(spec.likelihoods, joint_kind)
+    scores = score_dataset(model, mixed, 6, seed=4)
+    assert np.array_equal(score_dataset(model, mixed, 6, seed=4, chunk=7), scores)
+    perm = np.random.default_rng(5).permutation(len(mixed))
+    shuffled = replace(mixed, pairs=mixed.pairs[perm], related=mixed.related[perm])
+    assert np.array_equal(score_dataset(model, shuffled, 6, seed=4, chunk=7), scores[perm])
+
+
+def test_fresh_moe_with_zeroed_decoders_scores_zero_pmi():
+    mods = [ModalitySpec("m1", 5, "bernoulli"), ModalitySpec("m2", 4, "gaussian")]
+    model = build_model(mods, latent_dim=3, hidden_dim=8, joint_kind="moe", seed=5)
+    x, y = random_pairs(model, 12, seed=6)
+    for name, obs in (("m1", x), ("m2", y)):
+        q = model.encode_unimodal(name, obs)  # zero heads: q is the prior
+        assert not q.mean.value.any() and not q.log_var.value.any()
+    for k, p in model.params.items():
+        if k.startswith("dec."):
+            p.value = np.zeros_like(p.value)
+    assert np.abs(pmi(model, x, y, 30, seed=7)).max() < 1e-12
+
+
+def test_moe_scoring_decodes_3k_rows_per_pair(monkeypatch):
+    rows = []
+    decode = MultimodalModel.decode
+
+    def counting_decode(self, name, z):
+        rows.append(int(np.prod(z.shape[:-1])))
+        return decode(self, name, z)
+
+    monkeypatch.setattr(MultimodalModel, "decode", counting_decode)
+    spec = FactorSpec(num_classes=3, obs_dims=(5, 4), private_dims=(1, 1))
+    mixed = pair_random(spec, generate_unimodal(spec, 20, "m1", 1),
+                        generate_unimodal(spec, 20, "m2", 2), seed=3)
+    score_dataset(perturbed_model(spec.likelihoods), mixed, 30, seed=4, chunk=8)
+    assert sum(rows) == 3 * 30 * len(mixed)
 
 
 def test_estimate_threshold_separable_case():

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvae.seeding import content_key, derive_rng, per_row_normal, tag
@@ -41,12 +41,20 @@ def test_per_row_normal_keyed_by_content_not_position():
     assert not np.array_equal(block, other_seed)
 
 
-def test_per_row_normal_prefix_property():
-    # a longer draw starts with the shorter draw, so K=1 estimates embed in K=30
-    rows = [(np.array([2.5, -1.0]),)]
-    short = per_row_normal(3, "s", rows, (4,))
-    long = per_row_normal(3, "s", rows, (12,))
-    assert np.array_equal(long[:, :4], short)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**62), st.integers(1, 6),
+       st.integers(1, 12).flatmap(lambda s: st.tuples(st.integers(1, s), st.just(s))))
+@example(seed=3, latent=3, counts=(3, 8))  # S' * L = 9, odd
+def test_per_row_normal_prefix_property(seed, latent, counts):
+    # the first S' of S draws per row are the S'-draw block, so a mixture's
+    # S/M draws per row are the first S/M of that row's marginal draws
+    shorter, draws = counts
+    rows = [(np.array([2.5, -1.0]),), (np.array([0.0, 7.0]),)]
+    short = per_row_normal(seed, "s", rows, (shorter, latent))
+    long = per_row_normal(seed, "s", rows, (draws, latent))
+    assert np.array_equal(long[:, :shorter], short)
+    flat = per_row_normal(seed, "s", rows, (shorter * latent,))
+    assert np.array_equal(flat.reshape(short.shape), short)
 
 
 def test_per_row_normal_moments():

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvae.data import FactorSpec
-from cmvae import training
+from cmvae import relatedness, training
 from cmvae.objective import ObjectiveConfig
 from cmvae.training import (
     Adam,
+    ConfigError,
     DatasetConfig,
     ModelConfig,
     NumericalAbort,
@@ -22,6 +23,9 @@ from cmvae.training import (
     RunConfig,
     build_dataset,
     build_model_from_config,
+    check_config,
+    evaluate_model,
+    heldout_sets,
     mean_heldout_loglik,
     read_checkpoint,
     restore_state,
@@ -303,13 +307,33 @@ def test_pipeline_full_percent_short_circuits(tmp_path):
     assert report.metrics_after == report.metrics_before
 
 
-def test_pipeline_stage_tagging(tmp_path):
+def test_pipeline_stage_tagging(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path / "runs", steps=3)
-    bad = PropagationConfig(pretrain_percent=10.0, pmi_num_samples=3)
-    # MoE needs an even sample count; the threshold stage must report itself
+
+    def failing_threshold(*args, **kwargs):
+        raise ValueError("no boundary")
+
+    monkeypatch.setattr(relatedness, "estimate_threshold", failing_threshold)
     with pytest.raises(RuntimeError) as err:
-        run_pipeline(cfg, bad)
-    assert "stage" in str(err.value)
+        run_pipeline(cfg, PropagationConfig(pretrain_percent=10.0, pmi_num_samples=4))
+    assert "stage 'threshold'" in str(err.value) and "no boundary" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["pmi", "objective"])
+def test_uneven_mixture_sample_count_rejected_before_writing(tmp_path, field):
+    cfg = tiny_config(tmp_path / "runs", steps=3)
+    pcfg = PropagationConfig(pretrain_percent=10.0, pmi_num_samples=3 if field == "pmi" else 4)
+    if field == "objective":
+        cfg = replace(cfg, objective=ObjectiveConfig.for_variant("cI", num_samples=5))
+    with pytest.raises(ConfigError, match="num_samples [35]$"):
+        run_pipeline(cfg, pcfg)
+    assert not os.path.exists(cfg.output_dir)
+    if field == "objective":
+        with pytest.raises(ConfigError):
+            train(cfg)
+        assert not os.path.exists(cfg.output_dir)
+        poe = replace(cfg, model=replace(cfg.model, joint_kind="poe"))
+        check_config(poe, 60, pmi_num_samples=3)  # one joint posterior: any count splits
 
 
 def test_pipeline_smoke_end_to_end(tmp_path):
@@ -323,3 +347,29 @@ def test_pipeline_smoke_end_to_end(tmp_path):
     json.dumps(d)  # serializable
     assert set(d) == {"threshold", "precision", "recall", "f1", "n_predicted",
                       "metrics_before", "metrics_after"}
+
+
+def test_heldout_sets_built_once_per_run_read_only_and_unchanged(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "runs", steps=4)
+    cfg = replace(cfg, eval_every=2)
+    model = build_model_from_config(cfg)
+    heldout = heldout_sets(cfg)
+
+    def outputs(sets):
+        row = evaluate_model(model, cfg, 0, sets)
+        return (training.csv_line(row[c] for c in training.METRICS_COLUMNS),
+                mean_heldout_loglik(model, cfg, heldout=sets))
+
+    assert outputs(heldout) == outputs(None)  # shared sets score as a fresh build
+    for arr in (heldout.related.observations["m1"], heldout.related.labels["m2"],
+                heldout.related.pairs, heldout.mixed.pairs, heldout.mixed.related,
+                heldout.oracles["m1"].precision, heldout.oracles["m2"].class_means):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    built = []
+    monkeypatch.setattr(training, "heldout_sets", lambda c: built.append(c) or heldout)
+    train(cfg)  # evaluates at steps 2 and 4
+    with open(os.path.join(cfg.output_dir, f"{cfg.run_id}.metrics.csv")) as fh:
+        assert len(built) == 1 and len(fh.readlines()) == 2 + 2  # schema, header, two rows
+    run_pipeline(replace(cfg, output_dir=str(tmp_path / "pipe")), PropagationConfig(pretrain_percent=50.0))
+    assert len(built) == 2  # one build serves the before and after rows
