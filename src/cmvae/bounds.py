@@ -10,9 +10,13 @@ chi-square bound; the bias vanishes as K grows.
 All estimators return per-item values; batch reductions belong to the
 objective layer.  Per-item sampling noise is keyed on item content, so
 estimates are deterministic under a fixed seed and invariant to batch
-permutation.  The mixture posterior keys each draw on the one modality row
-it comes from, so scoring pair (x_i, y_j) out of a batch through `pairs`
-gives the same estimate as scoring it alone.
+permutation up to BLAS rounding (a matrix product may round the last bits
+of a row differently at another number of rows).  The mixture posterior
+keys each draw on the one modality row it comes from, so scoring pair
+(x_i, y_j) out of a batch through `pairs` gives the same estimate as
+scoring it alone.  There, every term that depends on one row only (its
+draws, the prior, that modality's likelihood and its mixture component)
+is evaluated once per row, and only the cross terms once per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .distributions import DiagonalGaussian, standard_normal_log_prob
+from .distributions import DiagonalGaussian, mixture_log_density, standard_normal_log_prob
 from .seeding import per_row_normal
 
 ESTIMATOR_KINDS = ("elbo", "iwae", "cubo")
@@ -45,29 +49,25 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     """Log importance weights log p(z, obs) - log q(z | obs), shape (P, K).
 
     Pair p is row pairs[m][p] of every modality m; without `pairs`, P = B
-    and pair p is row p of every modality.  The mixture posterior draws and
-    decodes each modality row's samples once, however many pairs use the
-    row, and gathers the prior, the likelihoods and its mixture density per
-    pair (see MultimodalModel.joint_posterior_samples).  Other posteriors
-    condition on the whole pair, so the pair rows are gathered and scored
-    as a batch.
+    and pair p is row p of every modality.  With `pairs`, a mixture
+    posterior draws, decodes and scores each modality row's own samples
+    once, however many pairs use the row, and evaluates only the cross
+    terms per pair (mixture_joint_log_weights).  Other posteriors condition
+    on the whole pair, so the pair rows are gathered and scored as a batch.
 
     Modalities are folded in sorted-name order so the result is bit-stable
     under relabeling of the modality list.
     """
     obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
-    shared = pairs is not None and getattr(model, "joint_kind", None) == "moe"
-    if shared:
-        z, log_q = model.joint_posterior_samples(obs, num_samples, seed, pairs)
+    if pairs is not None and getattr(model, "joint_kind", None) == "moe":
+        per = num_samples // len(model.modalities)  # mixture_joint_log_weights checks the split
+        draws = {m.name: unimodal_draws(model, m.name, obs[m.name], per, seed) for m in model.modalities}
+        return mixture_joint_log_weights(model, obs, draws, num_samples, pairs)
     if pairs is not None:
         obs = {n: obs[n][rows] for n, rows in pairs.items()}
-    if not shared:
-        z, log_q = model.joint_posterior_samples(obs, num_samples, seed)
+    z, log_q = model.joint_posterior_samples(obs, num_samples, seed)
     log_p = standard_normal_log_prob(z)
     liks = model.decode_all(z)
-    if shared:
-        log_p = model.pair_draws(log_p, pairs)
-        liks = {n: lik.map_rows(lambda t: model.pair_draws(t, pairs)) for n, lik in liks.items()}
     for name in sorted(liks):
         log_p = log_p + liks[name].log_prob(obs[name][:, None, :])
     return log_p - log_q
@@ -159,28 +159,44 @@ def unimodal_marginal(model, name: str, obs, num_samples: int, seed: int,
     return bound_from_log_weights(draws.log_prior + draws.log_lik - draws.log_q, "iwae")
 
 
-def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict) -> Tensor:
-    """joint_log_weights of a mixture model from unimodal draws already made, shape (B, S).
+def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_samples: int,
+                              pairs: dict | None = None) -> Tensor:
+    """joint_log_weights of a mixture model from unimodal draws already made, shape (P, S).
 
-    Pair p is row p of every modality, and draws[m] holds S unimodal_draws
-    of modality m.  Block m of the joint's S draws is the first S/M of
-    draws[m] (MultimodalModel.mixture_samples); there the prior and m's own
-    likelihood are read from draws[m], and only the other modalities'
-    decoders run.  Slots and terms are ordered as in joint_log_weights, so
-    for draws made with `seed` the result is joint_log_weights(model,
-    obs_by_modality, S, seed) bit for bit.
+    draws[m] holds at least S/M unimodal_draws per row of obs_by_modality[m];
+    pair p is row pairs[m][p] of every modality m (row p without `pairs`).
+    Block m of a pair's S slots is the first S/M draws of its row of m
+    (stratified sampling, as in MultimodalModel.joint_posterior_samples).
+    There the prior, m's likelihood and m's mixture component depend on
+    the row alone, so they are read from draws[m] and gathered per pair;
+    only the other modalities' likelihoods and components are evaluated
+    per pair.  Terms are added as in joint_log_weights, so for draws made
+    with `seed` the result is joint_log_weights(model, {m: obs[m][pairs[m]]},
+    S, seed) up to BLAS rounding.
     """
     names = [m.name for m in model.modalities]
-    s = draws[names[0]].z.shape[1]
-    if s % len(names) != 0:
-        raise ValueError(f"mixture posterior needs num_samples divisible by {len(names)}, got {s}")
-    per = s // len(names)
+    if num_samples % len(names) != 0:
+        raise ValueError(f"mixture posterior needs num_samples divisible by {len(names)}, got {num_samples}")
+    per = num_samples // len(names)
+    for n in names:
+        if draws[n].z.shape[1] < per:
+            raise ValueError(f"{draws[n].z.shape[1]} draws per row of {n!r}, need {per}")
+
+    def at(t, name):  # per-row quantity of modality `name` -> per-pair
+        return t if pairs is None else t[np.asarray(pairs[name])]
+
+    obs = {n: at(np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64)), n)[:, None, :]
+           for n in names}
     head = {n: draws[n].z[:, :per] for n in names}
-    _, log_q = model.mixture_samples([draws[n].q for n in names], [head[n] for n in names])
-    log_p = concat([draws[n].log_prior[:, :per] for n in names], axis=1)
+    pair_head = {n: at(head[n], n) for n in names}
+    log_p = concat([at(draws[n].log_prior[:, :per], n) for n in names], axis=1)
     for target in sorted(names):
-        obs = np.atleast_2d(np.asarray(obs_by_modality[target], dtype=np.float64))[:, None, :]
-        log_p = log_p + concat([draws[n].log_lik[:, :per] if n == target
-                                else model.decode(target, head[n]).log_prob(obs)
-                                for n in names], axis=1)
+        log_p = log_p + concat([
+            at(draws[n].log_lik[:, :per], n) if n == target
+            else model.decode(target, head[n]).map_rows(lambda t, n=n: at(t, n)).log_prob(obs[target])
+            for n in names], axis=1)
+    log_q = mixture_log_density([concat([
+        at(draws[k].log_q[:, :per], k) if n == k
+        else draws[k].q.map_rows(lambda t, k=k: at(t, k)).log_prob(pair_head[n])
+        for n in names], axis=1) for k in names])
     return log_p - log_q

@@ -156,6 +156,15 @@ def sample_per_row(q: DiagonalGaussian, noise) -> tuple[Tensor, Tensor]:
     return z, q.log_prob(z)
 
 
+def mixture_log_density(log_densities: list[Tensor]) -> Tensor:
+    """Equal-weight mixture density log(1/M sum_k q_k), from each component's log q_k."""
+    acc = log_densities[0]
+    for term in log_densities[1:]:
+        m = Tensor.const(np.maximum(acc.value, term.value))
+        acc = ((acc - m).exp() + (term - m).exp()).log() + m
+    return acc - float(np.log(len(log_densities)))
+
+
 def gaussian_product(components: list[DiagonalGaussian],
                      include_standard_prior: bool = False) -> DiagonalGaussian:
     """Precision-weighted product of diagonal Gaussians.

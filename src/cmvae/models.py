@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor, affine, concat
-from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_product, sample_per_row
+from .distributions import (DiagonalGaussian, FactorBernoulli, gaussian_product, mixture_log_density,
+                            sample_per_row)
 from .seeding import derive_rng, per_row_normal, tag
 
 JOINT_KINDS = ("explicit", "poe", "moe")
@@ -121,27 +122,24 @@ class MultimodalModel:
     # -- joint posterior sampling ---------------------------------------------------
 
     def joint_posterior_samples(self, obs_by_modality: dict[str, np.ndarray],
-                                num_samples: int, seed: int, pairs: dict | None = None):
+                                num_samples: int, seed: int):
         """Draw z from q(z | all modalities) and report log q at each draw.
 
-        Returns (z, log_q), shapes (B, S, L) and (P, S).  Pair p is row
-        pairs[m][p] of every modality m; without `pairs`, P = B and pair p
-        is row p of every modality.
+        Returns (z, log_q), shapes (B, S, L) and (B, S); pair p is row p of
+        every modality.
 
-        Explicit and PoE posteriors condition on the whole pair: they take
-        no `pairs`, and noise is keyed on the pair's rows.
+        Explicit and PoE posteriors condition on the whole pair, and noise
+        is keyed on the pair's rows.
 
-        The mixture posterior draws per modality row: row r of z holds, for
+        The mixture posterior draws per modality row: row p of z holds, for
         each modality m in name order, S/M stratified draws from
-        q(z | obs_m[r]), with noise keyed on that row alone under the
-        stream "joint_posterior.<m>".  Pair p's draws are pair_draws(z, pairs)[p]
-        and log_q[p] is its equal-weight mixture density at them, so every
-        pair that shares a row shares (and need not redraw) its draws.
-        num_samples must divide evenly across modalities.
+        q(z | obs_m[p]), with noise keyed on that row alone under the
+        stream "joint_posterior.<m>", and log_q[p] is the equal-weight
+        mixture density at them.  Pairs that share a row share its draws;
+        bounds.mixture_joint_log_weights scores many pairs from one draw per
+        row.  num_samples must divide evenly across modalities.
         """
         if self.joint_kind in ("explicit", "poe"):
-            if pairs is not None:
-                raise ValueError(f"{self.joint_kind} posterior draws per pair; gather the pair rows instead")
             first = np.atleast_2d(np.asarray(obs_by_modality[self.modalities[0].name]))
             rows = [tuple(np.atleast_2d(np.asarray(obs_by_modality[m.name]))[i]
                           for m in self.modalities) for i in range(first.shape[0])]
@@ -160,33 +158,8 @@ class MultimodalModel:
                                    (per, self.latent_dim))
             comps.append(q)
             draws.append(q.rsample(noise))
-        if pairs is None:
-            return self.mixture_samples(comps, draws)
         z = concat(draws, axis=1)
-        pair_comps = [q.map_rows(lambda t, rows=pairs[spec.name]: t[np.asarray(rows)])
-                      for q, spec in zip(comps, self.modalities)]
-        return z, _mixture_log_prob(pair_comps, self.pair_draws(z, pairs))
-
-    def mixture_samples(self, comps: list[DiagonalGaussian], draws: list[Tensor]) -> tuple[Tensor, Tensor]:
-        """The mixture posterior's draw grid z (B, S, L) and log q(z), pair p being row p of each modality.
-
-        comps[m] and its S/M draws per row, draws[m] (B, S/M, L), belong to
-        self.modalities[m] (name order); z holds the draws block by block.
-        """
-        z = concat(draws, axis=1)
-        return z, _mixture_log_prob(comps, z)
-
-    def pair_draws(self, t: Tensor, pairs: dict) -> Tensor:
-        """Per-pair view (P, S, ...) of a quantity t (B, S, ...) on the mixture's draw grid.
-
-        Slot block m (S/M slots, modalities in name order) of pair p is
-        block m of row pairs[m][p].
-        """
-        b, s = t.shape[:2]
-        m = self.num_modalities
-        rows = np.stack([np.asarray(pairs[spec.name]) for spec in self.modalities], axis=1)
-        grid = t.reshape((b, m, s // m) + t.shape[2:])
-        return grid[rows, np.arange(m)].reshape((rows.shape[0], s) + t.shape[2:])
+        return z, mixture_log_density([q.log_prob(z) for q in comps])
 
     # -- decoding ---------------------------------------------------------------------
 
@@ -232,21 +205,6 @@ class MultimodalModel:
                                (self.latent_dim,))
         z = q.rsample(Tensor.const(noise))
         return self.decode(target, z).mean.value
-
-
-def _mixture_log_prob(comps: list[DiagonalGaussian], z: Tensor) -> Tensor:
-    """Equal-weight Gaussian mixture density, log(1/M sum_k q_k(z)), per-row components."""
-    log_m = float(np.log(len(comps)))
-    acc = None
-    for q in comps:
-        term = q.log_prob(z)
-        acc = term if acc is None else _logaddexp(acc, term)
-    return acc - log_m
-
-
-def _logaddexp(a: Tensor, b: Tensor) -> Tensor:
-    m = Tensor.const(np.maximum(a.value, b.value))
-    return ((a - m).exp() + (b - m).exp()).log() + m
 
 
 def init_params(modalities: list[ModalitySpec], latent_dim: int, hidden_dim: int,

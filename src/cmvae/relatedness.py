@@ -2,11 +2,13 @@
 
 A trained model scores a pair by pointwise mutual information,
 iwae(x, y) - marginal(x) - marginal(y).  Every term keys its noise on item
-content, so a pair's score does not depend on its chunk or batch; a
-mixture model's three terms share one draw block per modality row.  A
-threshold fitted on a small mixed set with known relatedness then flags
-related pairs in the unlabeled remainder; the flagged pairs rejoin the
-training set for a continuation run.
+content, so a pair's score does not depend on its chunk or batch up to
+BLAS rounding (a matrix product may round the last bits of a row
+differently at another number of rows); a mixture model's three terms
+share one draw block per modality row.  A threshold fitted on a small
+mixed set with known relatedness then flags related pairs in the
+unlabeled remainder; the flagged pairs rejoin the training set for a
+continuation run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from .data import PairedDataset, UnimodalData, pair_random, subset
 from .models import MultimodalModel
 
 THRESHOLD_RULES = ("max-f1", "max-accuracy")
+
+# Pairs per chunk of a scoring pass.  At K=30 a chunk's temporaries take
+# 1 MB per hidden layer; they die with the chunk and the next one reuses
+# them from the heap.  Larger ones can cross glibc's dynamic mmap
+# threshold, which earlier work in the process sets, and then every chunk
+# maps and faults them in afresh.
+CHUNK_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
     obs = dict(zip(names, (x, y)))
     if getattr(model, "joint_kind", None) == "moe":
         draws = {n: unimodal_draws(model, n, obs[n], num_samples, seed) for n in names}
-        joint = bound_from_log_weights(mixture_joint_log_weights(model, obs, draws), "iwae")
+        joint = bound_from_log_weights(mixture_joint_log_weights(model, obs, draws, num_samples), "iwae")
     else:
         draws = dict.fromkeys(names)
         joint = iwae(model, x, y, num_samples, seed)
@@ -85,13 +94,12 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
 
 
 def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
-                  chunk: int = 128) -> np.ndarray:
+                  chunk: int = CHUNK_PAIRS) -> np.ndarray:
     """PMI for every pair in the dataset, evaluated in fixed-size chunks.
 
-    A trained model is scored through its frozen view and in chunks of
-    128, so each chunk's temporaries (2 MB per hidden layer at K=30) are
-    freed as they die and reused from the heap by the next chunk instead
-    of being mapped and faulted in again.
+    A trained model is scored through its frozen view, so each chunk's
+    temporaries are freed as they die.  A pair's score does not depend on
+    the chunk size up to BLAS rounding.
     """
     if isinstance(model, MultimodalModel):
         model = model.frozen()

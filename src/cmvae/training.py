@@ -481,12 +481,15 @@ def _all_finite(arrays) -> bool:
 
 def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
                         heldout: HeldOut | None = None) -> float:
-    """IWAE estimate of the joint log-likelihood on held-out related pairs."""
+    """IWAE estimate of the joint log-likelihood on held-out related pairs, in chunks like score_dataset."""
     related = (heldout or heldout_sets(cfg)).related
     names = list(related.spec.modality_names)
     obs = related.pair_observations()
-    vals = iwae(model.frozen(), obs[names[0]], obs[names[1]], num_samples, cfg.seed + 13).value
-    return float(vals.mean())
+    x, y = obs[names[0]], obs[names[1]]
+    frozen, step = model.frozen(), relatedness.CHUNK_PAIRS
+    vals = [iwae(frozen, x[i:i + step], y[i:i + step], num_samples, cfg.seed + 13).value
+            for i in range(0, len(x), step)]
+    return float(np.concatenate(vals).mean())
 
 
 # -- experiment drivers -----------------------------------------------------------------------

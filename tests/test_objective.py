@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmvae.autodiff import Tensor, backward, finite_difference_check
-from cmvae import bounds
+from cmvae import bounds, distributions, relatedness
 from cmvae.bounds import EstimatorSpec
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
@@ -283,3 +283,66 @@ def test_final_objective_moe_gradients_match_finite_differences():
     cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
     assert finite_difference_check(lambda params: final_objective(model, obs, cfg, seed=5)[0],
                                    model.params, h=1e-5) < 1e-5
+
+
+def test_moe_objective_scores_own_terms_once_per_row(monkeypatch):
+    # Per pair and slot, the other modality's likelihood and mixture
+    # component; per row and own slot, the modality's own two.  Scoring
+    # all four per pair would take 4 * batch * (1 + 2 * n_neg) * s rows.
+    rows = []
+
+    def counting(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            rows.append(out.value.size)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(distributions, "gaussian_log_prob", counting(distributions.gaussian_log_prob))
+    monkeypatch.setattr(distributions.FactorBernoulli, "log_prob",
+                        counting(distributions.FactorBernoulli.log_prob))
+    model = perturbed_model(likelihoods=("gaussian", "bernoulli"), seed=4)
+    batch, n_neg, s = 8, 3, 4
+    obs = pair_batch(model, batch, seed=5)
+    cfg = ObjectiveConfig.for_variant("cI", num_negatives=n_neg, num_samples=s)
+    final_objective(model, obs, cfg, seed=1)
+    assert sum(rows) == 4 * batch * (1 + n_neg) * s
+
+
+@pytest.mark.parametrize("likelihoods", [("gaussian", "gaussian"), ("bernoulli", "bernoulli"),
+                                         ("bernoulli", "gaussian")])
+def test_moe_pair_log_weights_match_gathered_rows(likelihoods):
+    model = perturbed_model(likelihoods=likelihoods, seed=11)
+    obs = pair_batch(model, 6, seed=12)
+    rng = np.random.default_rng(13)
+    pairs = {"m1": rng.integers(0, 6, 40), "m2": rng.integers(0, 6, 40)}  # rows and pairs repeat
+    gathered = {n: obs[n][rows] for n, rows in pairs.items()}
+    ref = bounds.joint_log_weights(model, gathered, 6, seed=14).value
+    log_w = bounds.joint_log_weights(model, obs, 6, seed=14, pairs=pairs).value
+    np.testing.assert_allclose(log_w, ref, rtol=1e-12, atol=0)
+    # draws with more than S/M per row, as PMI scoring makes them, give up their first S/M
+    draws = {n: bounds.unimodal_draws(model, n, obs[n], 6, seed=14) for n in obs}
+    np.testing.assert_allclose(bounds.mixture_joint_log_weights(model, obs, draws, 6, pairs).value,
+                               ref, rtol=1e-12, atol=0)
+    short = {n: bounds.unimodal_draws(model, n, obs[n], 2, seed=14) for n in obs}
+    with pytest.raises(ValueError, match="need 3"):
+        bounds.mixture_joint_log_weights(model, obs, short, 6, pairs)
+    with pytest.raises(ValueError, match="divisible by 2"):
+        bounds.joint_log_weights(model, obs, 5, seed=14, pairs=pairs)
+
+
+def test_pmi_and_objective_reach_the_one_mixture_path(monkeypatch):
+    calls = []
+    original = bounds.mixture_joint_log_weights
+
+    def spy(model, obs, draws, num_samples, pairs=None):
+        calls.append(pairs is not None)
+        return original(model, obs, draws, num_samples, pairs)
+
+    monkeypatch.setattr(bounds, "mixture_joint_log_weights", spy)
+    monkeypatch.setattr(relatedness, "mixture_joint_log_weights", spy)
+    model = perturbed_model(seed=2)
+    obs = pair_batch(model, 6, seed=3)
+    final_objective(model, obs, ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4), 1)
+    relatedness.pmi(model, obs["m1"], obs["m2"], 4, seed=1)
+    assert calls == [True, False]

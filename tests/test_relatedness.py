@@ -72,9 +72,10 @@ def test_pmi_symmetric_with_exact_encoders():
 LIKELIHOOD_PAIRS = [("gaussian", "gaussian"), ("bernoulli", "bernoulli"), ("bernoulli", "gaussian")]
 
 
-def perturbed_model(likelihoods, joint_kind="moe", seed=1):
+def perturbed_model(likelihoods, joint_kind="moe", seed=1, obs_dims=(5, 4)):
     """A small model moved away from its initialisation, so no term is constant."""
-    mods = [ModalitySpec("m1", 5, likelihoods[0]), ModalitySpec("m2", 4, likelihoods[1])]
+    mods = [ModalitySpec("m1", obs_dims[0], likelihoods[0]),
+            ModalitySpec("m2", obs_dims[1], likelihoods[1])]
     model = build_model(mods, latent_dim=3, hidden_dim=8, joint_kind=joint_kind, seed=seed)
     rng = np.random.default_rng(seed)
     for p in model.params.values():
@@ -95,7 +96,7 @@ def test_moe_pmi_terms_match_separate_estimators(likelihoods):
     names = ("m1", "m2")
     obs = dict(zip(names, (x, y)))
     draws = {n: unimodal_draws(model, n, obs[n], 6, seed=3) for n in obs}
-    log_w = mixture_joint_log_weights(model, obs, draws)
+    log_w = mixture_joint_log_weights(model, obs, draws, 6)
     assert np.array_equal(log_w.value, joint_log_weights(model, obs, 6, seed=3).value)
     joint = bound_from_log_weights(log_w, "iwae").value
     alone = iwae(model, x, y, 6, seed=3).value
@@ -131,6 +132,23 @@ def test_score_dataset_independent_of_chunk_and_pair_order(joint_kind):
     perm = np.random.default_rng(5).permutation(len(mixed))
     shuffled = replace(mixed, pairs=mixed.pairs[perm], related=mixed.related[perm])
     assert np.array_equal(score_dataset(model, shuffled, 6, seed=4, chunk=7), scores[perm])
+
+
+@pytest.mark.parametrize("joint_kind", ["moe", "poe"])
+@pytest.mark.parametrize("obs_dims, rtol", [((16, 16), 0.0), ((16, 12), 1e-12)])
+def test_score_dataset_chunk_size_moves_scores_at_most_by_blas_rounding(obs_dims, rtol, joint_kind):
+    # At the shipped 16/16 dimensions chunks score bit for bit alike.  At
+    # other output widths BLAS may round a row differently at another
+    # number of rows, so scores agree only to rounding there.
+    spec = FactorSpec(num_classes=3, obs_dims=obs_dims, private_dims=(1, 1),
+                      likelihoods=("bernoulli", "gaussian"))
+    mixed = pair_random(spec, generate_unimodal(spec, 150, "m1", 1),
+                        generate_unimodal(spec, 150, "m2", 2), seed=3)
+    model = perturbed_model(spec.likelihoods, joint_kind, obs_dims=obs_dims)
+    scores = score_dataset(model, mixed, 6, seed=4, chunk=128)
+    for chunk in (7, 64):
+        np.testing.assert_allclose(score_dataset(model, mixed, 6, seed=4, chunk=chunk), scores,
+                                   rtol=rtol, atol=0, err_msg=f"chunk {chunk}")
 
 
 def test_fresh_moe_with_zeroed_decoders_scores_zero_pmi():

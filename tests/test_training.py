@@ -298,6 +298,26 @@ def test_heldout_loglik_finite(tmp_path):
     assert np.isfinite(val)
 
 
+def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatch):
+    # One held-out batch of eval_items x K rows per hidden layer can cross
+    # glibc's mmap threshold; chunks of CHUNK_PAIRS stay reusable heap.
+    cfg = replace(tiny_config(tmp_path / "runs", steps=2), eval_items=150)
+    model = train(cfg, evaluate=False).model
+    sets = heldout_sets(cfg)
+    obs = sets.related.pair_observations()
+    whole = training.iwae(model.frozen(), obs["m1"], obs["m2"], 4, cfg.seed + 13).value.mean()
+    rows = []
+    iwae = training.iwae
+
+    def counting(model, x, y, num_samples, seed):
+        rows.append(len(x))
+        return iwae(model, x, y, num_samples, seed)
+
+    monkeypatch.setattr(training, "iwae", counting)
+    assert mean_heldout_loglik(model, cfg, num_samples=4, heldout=sets) == pytest.approx(whole, rel=1e-12)
+    assert rows == [relatedness.CHUNK_PAIRS] * 2 + [150 - 2 * relatedness.CHUNK_PAIRS]
+
+
 def test_pipeline_full_percent_short_circuits(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=3)
     report, info = run_pipeline(cfg, PropagationConfig(pretrain_percent=100.0,
