@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B benchmark of two checkouts on one workload, in alternating pairs of untraced runs.
 
-    python3 scripts/bench_ab.py --parent DIR --change DIR --workload W --seeds 0-9
+    python3 scripts/bench_ab.py --parent DIR --change DIR --workload W --seeds 0-9 [--json PATH]
 
 For each seed, both trees run `perfbench/run.py --workload W --seed N
 --trace 0` from their own root, one after the other: the parent first in
@@ -14,7 +14,9 @@ BENCHMARK.json, the median and quartiles of each tree, the ratio of the
 medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
 beside the parent's interquartile range; it names every run that reported
-`failed` > 0.  This file imports no numpy.
+`failed` > 0.  `--json PATH` writes the same summary, with each pair's
+values, under the workload's name in the JSON object at PATH, keeping
+what the file holds for other workloads.  This file imports no numpy.
 """
 
 from __future__ import annotations
@@ -54,32 +56,62 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
-def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> list[str]:
-    """Report lines for (parent, change) result lines; `better` maps metric -> 'higher'/'lower'."""
+def summary(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
+    """Per-metric statistics of (parent, change) result lines; `better` maps metric -> 'higher'/'lower'."""
     results = [(json.loads(p), json.loads(c)) for p, c in pairs]
-    n = len(results)
-    lines = [f"{n} pairs, change/parent"]
+    metrics = {}
     for name, direction in better.items():
         par = [p["metrics"][name]["value"] for p, _ in results]
         chg = [c["metrics"][name]["value"] for _, c in results]
-        unit = results[0][1]["metrics"][name]["unit"]
         ratios = [c / p if p else float("nan") for p, c in zip(par, chg)]
-        wins = sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg))
-        ties = sum(c == p for p, c in zip(par, chg))
         (p1, p3), (c1, c3) = _quartiles(par), _quartiles(chg)
         mp, mc = statistics.median(par), statistics.median(chg)
-        lines.append(f"{name} [{unit}], {direction} is better")
-        lines.append(f"  parent {mp:.6g} [{p1:.6g}, {p3:.6g}]  change {mc:.6g} [{c1:.6g}, {c3:.6g}]"
-                     f"  ratio of medians {mc / mp if mp else float('nan'):.4f}")
-        lines.append(f"  median ratio {statistics.median(ratios):.4f}, change wins {wins}/{n}"
-                     f" ({ties} ties); median gap {mc - mp:.6g}, parent IQR {p3 - p1:.6g}")
-        lines.append("  ratios " + " ".join(f"{r:.3f}" for r in ratios))
-    for i, (p, c) in enumerate(results):
-        for tree, r in (("parent", p), ("change", c)):
-            if r["failed"] > 0:
-                lines.append(f"FAILED: pair {i}, {tree}: {r['failed']} of {r['attempted']} "
-                             "calls and checks")
+        metrics[name] = {
+            "unit": results[0][1]["metrics"][name]["unit"], "better": direction,
+            "parent": {"median": mp, "q1": p1, "q3": p3, "values": par},
+            "change": {"median": mc, "q1": c1, "q3": c3, "values": chg},
+            "ratio_of_medians": mc / mp if mp else float("nan"),
+            "median_ratio": statistics.median(ratios), "ratios": ratios,
+            "wins": sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg)),
+            "ties": sum(c == p for p, c in zip(par, chg)),
+            "median_gap": mc - mp, "parent_iqr": p3 - p1}
+    failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
+              for i, (p, c) in enumerate(results)
+              for tree, r in (("parent", p), ("change", c)) if r["failed"] > 0]
+    return {"pairs": len(results), "metrics": metrics, "failed_runs": failed}
+
+
+def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> list[str]:
+    """Report lines for (parent, change) result lines; `better` maps metric -> 'higher'/'lower'."""
+    s = summary(pairs, better)
+    n = s["pairs"]
+    lines = [f"{n} pairs, change/parent"]
+    for name, m in s["metrics"].items():
+        par, chg = m["parent"], m["change"]
+        lines.append(f"{name} [{m['unit']}], {m['better']} is better")
+        lines.append(f"  parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}]"
+                     f"  change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]"
+                     f"  ratio of medians {m['ratio_of_medians']:.4f}")
+        lines.append(f"  median ratio {m['median_ratio']:.4f}, change wins {m['wins']}/{n}"
+                     f" ({m['ties']} ties); median gap {m['median_gap']:.6g},"
+                     f" parent IQR {m['parent_iqr']:.6g}")
+        lines.append("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
+    for f in s["failed_runs"]:
+        lines.append(f"FAILED: pair {f['pair']}, {f['tree']}: {f['failed']} of {f['attempted']} "
+                     "calls and checks")
     return lines
+
+
+def write_json(path: str, workload: str, seeds: list[int], result: dict) -> None:
+    """Set `workload`'s entry of the JSON object at `path`, keeping the other workloads' entries."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc[workload] = {"seeds": seeds, **result}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -89,6 +121,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="0-9")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the summary, with every pair's values, under the "
+                             "workload's key of the JSON object at PATH")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
@@ -102,6 +137,8 @@ def main(argv=None) -> int:
             print(f"seed {seed} {label}: {line[label]}", file=sys.stderr, flush=True)
         pairs.append((line["parent"], line["change"]))
     print("\n".join(summarize(pairs, better)))
+    if args.json:
+        write_json(args.json, args.workload, parse_seeds(args.seeds), summary(pairs, better))
     return 0
 
 

@@ -229,8 +229,8 @@ def _scatter_add(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
 
     A basic index never selects an entry twice, so it assigns.  Integer
     arrays over the leading axes are reduced by sorted segment sums, several
-    times faster than np.add.at when trailing slabs are large; any other
-    fancy index falls back to np.add.at.
+    times faster than np.add.at when trailing slabs are large, or by
+    np.bincount over every axis; any other fancy index falls back to np.add.at.
     """
     out = np.zeros(shape)
     parts = idx if isinstance(idx, tuple) else (idx,)
@@ -239,7 +239,9 @@ def _scatter_add(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
     elif all(isinstance(p, np.ndarray) and p.dtype.kind in "iu" for p in parts):
         k = len(parts)
         flat = np.ravel_multi_index(np.broadcast_arrays(*parts), shape[:k], mode="wrap").reshape(-1)
-        if flat.size:
+        if k == len(shape):
+            out = np.bincount(flat, weights=g.reshape(-1), minlength=out.size).reshape(shape)
+        elif flat.size:
             order = np.argsort(flat, kind="stable")
             pos = flat[order]
             starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])

@@ -16,7 +16,9 @@ keys each draw on the one modality row it comes from, so scoring pair
 (x_i, y_j) out of a batch through `pairs` gives the same estimate as
 scoring it alone.  There, every term that depends on one row only (its
 draws, the prior, that modality's likelihood and its mixture component)
-is evaluated once per row, and only the cross terms once per pair.
+is evaluated once per row; each pair gathers its cross terms from matrix
+products over all in-batch row pairs (distributions.pairwise_log_prob).
+Without `pairs`, as in PMI scoring, only their diagonal is evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .distributions import DiagonalGaussian, mixture_log_density, standard_normal_log_prob
+from .distributions import (DiagonalGaussian, mixture_log_density, pairwise_log_prob,
+                            standard_normal_log_prob)
 from .seeding import per_row_normal
 
 ESTIMATOR_KINDS = ("elbo", "iwae", "cubo")
@@ -51,9 +54,9 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     Pair p is row pairs[m][p] of every modality m; without `pairs`, P = B
     and pair p is row p of every modality.  With `pairs`, a mixture
     posterior draws, decodes and scores each modality row's own samples
-    once, however many pairs use the row, and evaluates only the cross
-    terms per pair (mixture_joint_log_weights).  Other posteriors condition
-    on the whole pair, so the pair rows are gathered and scored as a batch.
+    once, and gathers each pair's cross terms from all-pairs matrices
+    (mixture_joint_log_weights).  Other posteriors condition on the whole
+    pair, so the pair rows are gathered and scored as a batch.
 
     Modalities are folded in sorted-name order so the result is bit-stable
     under relabeling of the modality list.
@@ -168,11 +171,13 @@ def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_sam
     Block m of a pair's S slots is the first S/M draws of its row of m
     (stratified sampling, as in MultimodalModel.joint_posterior_samples).
     There the prior, m's likelihood and m's mixture component depend on
-    the row alone, so they are read from draws[m] and gathered per pair;
-    only the other modalities' likelihoods and components are evaluated
-    per pair.  Terms are added as in joint_log_weights, so for draws made
-    with `seed` the result is joint_log_weights(model, {m: obs[m][pairs[m]]},
-    S, seed) up to BLAS rounding.
+    the row alone, so they are read from draws[m] and gathered per pair.
+    A cross term (another modality's likelihood or component) is one
+    pairwise_log_prob matrix of all rows by all draws of block m, whose
+    P x S/M pair entries are gathered; without `pairs`, only its diagonal
+    is evaluated.  Terms are added as in joint_log_weights, so for draws
+    made with `seed` the result is joint_log_weights(model,
+    {m: obs[m][pairs[m]]}, S, seed) up to rounding.
     """
     names = [m.name for m in model.modalities]
     if num_samples % len(names) != 0:
@@ -182,21 +187,29 @@ def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_sam
         if draws[n].z.shape[1] < per:
             raise ValueError(f"{draws[n].z.shape[1]} draws per row of {n!r}, need {per}")
 
-    def at(t, name):  # per-row quantity of modality `name` -> per-pair
-        return t if pairs is None else t[np.asarray(pairs[name])]
-
-    obs = {n: at(np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64)), n)[:, None, :]
-           for n in names}
+    obs = {n: np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64)) for n in names}
     head = {n: draws[n].z[:, :per] for n in names}
-    pair_head = {n: at(head[n], n) for n in names}
+    if pairs is not None:
+        rows = {n: np.asarray(pairs[n]) for n in names}
+        slots = {n: rows[n][:, None] * per + np.arange(per) for n in names}  # row-major (row, draw) of n
+
+    def at(t, name):  # per-row quantity of modality `name` -> per-pair
+        return t if pairs is None else t[rows[name]]
+
+    def cross_lik(target, n):  # target's likelihood at block n's draws, (P, S/M)
+        lik = model.decode(target, head[n])
+        return (lik.log_prob(obs[target][:, None, :]) if pairs is None
+                else pairwise_log_prob(lik, obs[target])[rows[target][:, None], slots[n]])
+
+    def cross_q(k, n):  # k's mixture component at block n's draws, (P, S/M)
+        return (draws[k].q.log_prob(head[n]) if pairs is None
+                else pairwise_log_prob(draws[k].q, head[n])[slots[n], rows[k][:, None]])
+
     log_p = concat([at(draws[n].log_prior[:, :per], n) for n in names], axis=1)
     for target in sorted(names):
-        log_p = log_p + concat([
-            at(draws[n].log_lik[:, :per], n) if n == target
-            else model.decode(target, head[n]).map_rows(lambda t, n=n: at(t, n)).log_prob(obs[target])
-            for n in names], axis=1)
-    log_q = mixture_log_density([concat([
-        at(draws[k].log_q[:, :per], k) if n == k
-        else draws[k].q.map_rows(lambda t, k=k: at(t, k)).log_prob(pair_head[n])
-        for n in names], axis=1) for k in names])
+        log_p = log_p + concat([at(draws[n].log_lik[:, :per], n) if n == target
+                                else cross_lik(target, n) for n in names], axis=1)
+    log_q = mixture_log_density([concat([at(draws[k].log_q[:, :per], k) if n == k
+                                         else cross_q(k, n) for n in names], axis=1)
+                                 for k in names])
     return log_p - log_q

@@ -45,11 +45,6 @@ class DiagonalGaussian:
         return DiagonalGaussian(mean=self.mean.reshape(rows, 1, dim),
                                 log_var=self.log_var.reshape(rows, 1, dim))
 
-    def map_rows(self, fn) -> "DiagonalGaussian":
-        """Apply `fn` (a gather) to per-row parameters; a log-variance shared by all rows stays shared."""
-        log_var = fn(self.log_var) if self.log_var.ndim == self.mean.ndim else self.log_var
-        return DiagonalGaussian(mean=fn(self.mean), log_var=log_var)
-
 
 @dataclass(frozen=True)
 class FactorBernoulli:
@@ -64,10 +59,6 @@ class FactorBernoulli:
     @property
     def mean(self) -> Tensor:
         return self.logits.clamp(-LOGIT_CLAMP, LOGIT_CLAMP).sigmoid()
-
-    def map_rows(self, fn) -> "FactorBernoulli":
-        """Apply `fn` (a gather) to the logits."""
-        return FactorBernoulli(logits=fn(self.logits))
 
     def log_prob(self, value) -> Tensor:
         """Sum of per-coordinate Bernoulli log-likelihoods.
@@ -126,6 +117,60 @@ def gaussian_log_prob(d: DiagonalGaussian, value) -> Tensor:
                       - _unbroadcast_product(shape, g, np.ones(dp.shape[-1:])))
 
     return Tensor(val, parents=((v, vjp_value), (mean, vjp_mean), (log_var, vjp_log_var)))
+
+
+def pairwise_log_prob(d: DiagonalGaussian | FactorBernoulli, values) -> Tensor:
+    """Log density of every row of `values` under every one of d's distributions, shape (R, C).
+
+    Leading axes are flattened row-major: d's into C distributions, values'
+    into R rows; a Gaussian log-variance of shape (D,) is shared.  Entries
+    are matrix products, as in InfoNCE/CLIP's logit matrix.  A Bernoulli
+    density is linear in v; a Gaussian's (v - mean)^2 / var expands into
+    three products, after v and mean are centred on the column mean of
+    `values`, so it cancels only as far as the values spread, not as far
+    as they lie from zero.  One graph node with analytic adjoints; only a
+    Gaussian's values may carry a gradient.
+    """
+    v = _as_tensor(values)
+    if v.shape[-1] != d.dim:
+        raise ShapeMismatchError("pairwise_log_prob", v.shape, (d.dim,))
+    vv = v.value.reshape(-1, d.dim)
+    if isinstance(d, FactorBernoulli):
+        if v.requires_grad:
+            raise ValueError("bernoulli log_prob expects constant targets")
+        raw = d.logits.value.reshape(-1, d.dim)
+        lo = np.clip(raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+
+        def vjp_logits(g):
+            sig = 1.0 / (1.0 + np.exp(-lo))
+            inside = (np.abs(raw) < LOGIT_CLAMP).astype(np.float64)
+            return ((g.T @ vv - g.sum(axis=0)[:, None] * sig) * inside).reshape(d.logits.shape)
+
+        return Tensor(vv @ lo.T - np.logaddexp(0.0, lo).sum(axis=-1), parents=((d.logits, vjp_logits),))
+    mean, log_var = d.mean, d.log_var
+    if log_var.ndim != 1 and log_var.shape != mean.shape:
+        raise ShapeMismatchError("pairwise_log_prob", log_var.shape, mean.shape)
+    centre = vv.mean(axis=0)  # free: every term and adjoint depends on v - mean only
+    x, m = vv - centre, mean.value.reshape(-1, d.dim) - centre
+    lv = log_var.value.reshape(-1, d.dim) if log_var.ndim > 1 else log_var.value
+    a = np.broadcast_to(np.exp(-lv), m.shape)
+    am = a * m
+    const = (LOG_2PI + lv).sum(axis=-1) + (am * m).sum(axis=-1)
+
+    def vjp_value(g):
+        return (g @ am - x * (g @ a)).reshape(v.shape)
+
+    def vjp_mean(g):
+        return (a * (g.T @ x - g.sum(axis=0)[:, None] * m)).reshape(mean.shape)
+
+    def vjp_log_var(g):
+        cols = g.sum(axis=0)[:, None]
+        sq = g.T @ (x * x) - 2.0 * m * (g.T @ x) + cols * m * m  # sum_r g_rc (x_r - m_c)^2
+        grad = 0.5 * (a * sq - cols)
+        return grad.reshape(log_var.shape) if log_var.ndim > 1 else grad.sum(axis=0)
+
+    return Tensor(x @ am.T - 0.5 * ((x * x) @ a.T + const),
+                  parents=((v, vjp_value), (mean, vjp_mean), (log_var, vjp_log_var)))
 
 
 def standard_normal_log_prob(value) -> Tensor:

@@ -49,3 +49,24 @@ def test_seed_ranges_and_no_numpy_import():
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[0])
     assert "numpy" not in imported
+
+
+def test_json_summary_and_file_keep_every_workload(tmp_path):
+    pairs = [(result_line(100.0, 5.0), result_line(130.0, 5.0)),
+             (result_line(110.0, 5.0), result_line(121.0, 5.0)),
+             (result_line(120.0, 5.0), result_line(114.0, 5.0, failed=2))]
+    summary = bench_ab.summary(pairs, {"train_pairs_per_s": "higher"})
+    rate = summary["metrics"]["train_pairs_per_s"]
+    assert summary["pairs"] == 3 and rate["unit"] == "pairs/s" and rate["better"] == "higher"
+    assert rate["parent"] == {"median": 110.0, "q1": 105.0, "q3": 115.0, "values": [100.0, 110.0, 120.0]}
+    assert rate["change"] == {"median": 121.0, "q1": 117.5, "q3": 125.5, "values": [130.0, 121.0, 114.0]}
+    assert rate["ratio_of_medians"] == 1.1 and rate["median_ratio"] == 1.1
+    assert (rate["wins"], rate["ties"], rate["median_gap"], rate["parent_iqr"]) == (2, 0, 11.0, 10.0)
+    assert summary["failed_runs"] == [{"pair": 2, "tree": "change", "failed": 2, "attempted": 10}]
+    path = tmp_path / "BENCH.json"
+    bench_ab.write_json(str(path), "train-contrastive", [0, 1, 2], summary)
+    bench_ab.write_json(str(path), "propagate", [3], bench_ab.summary(pairs[:1], {"heldout_iwae_nll": "lower"}))
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["propagate", "train-contrastive"]
+    assert doc["train-contrastive"] == {"seeds": [0, 1, 2], **summary}
+    assert doc["propagate"]["metrics"]["heldout_iwae_nll"]["ties"] == 1

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvae.autodiff import ShapeMismatchError, Tensor, backward
+from cmvae.autodiff import ShapeMismatchError, Tensor, backward, finite_difference_check
 from cmvae.distributions import (
+    LOGIT_CLAMP,
     DiagonalGaussian,
     FactorBernoulli,
     gaussian_log_prob,
     gaussian_product,
+    pairwise_log_prob,
     rsample,
     standard_normal_log_prob,
 )
@@ -178,3 +180,84 @@ def test_gaussian_log_prob_gradients_vs_finite_difference():
             lo = f().value
             p.value[i] = keep
             assert (hi - lo) / 2e-6 == pytest.approx(g[i], rel=1e-5, abs=1e-8)
+
+
+def near_pairs(scale, shared, rows=6, comps=5, dim=16, seed=0):
+    """Values at `scale` from zero, spread by about 1, and means within 1e-2 of the
+    first `comps` values: the expanded square cancels most on the near pairs."""
+    rng = np.random.default_rng(seed)
+    offset = scale * rng.uniform(0.5, 1.5, dim) * rng.choice([-1.0, 1.0], dim)
+    values = offset + rng.standard_normal((rows, dim))
+    mean = values[:comps] + 1e-2 * rng.standard_normal((comps, dim))
+    log_var = 0.5 * rng.standard_normal(dim if shared else (comps, dim))
+    return values, mean, log_var
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-log-var", "per-row-log-var"])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e2, 1e4])
+def test_pairwise_gaussian_matches_log_prob_on_broadcast_pairs(scale, shared):
+    values, mean, log_var = near_pairs(scale, shared)
+    d = DiagonalGaussian(mean=Tensor.const(mean), log_var=Tensor.const(log_var))
+    got = pairwise_log_prob(d, values).value
+    ref = gaussian_log_prob(DiagonalGaussian(mean=Tensor.const(mean[None]),
+                                             log_var=Tensor.const(log_var if shared else log_var[None])),
+                            values[:, None, :]).value
+    assert got.shape == (6, 5)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_pairwise_log_prob_reads_leading_axes_row_major():
+    rng = np.random.default_rng(1)
+    mean, log_var = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 2, 4))
+    values = rng.standard_normal((2, 5, 4))
+    got = pairwise_log_prob(DiagonalGaussian(mean=Tensor.const(mean), log_var=Tensor.const(log_var)),
+                            values).value
+    flat = pairwise_log_prob(DiagonalGaussian(mean=Tensor.const(mean.reshape(6, 4)),
+                                              log_var=Tensor.const(log_var.reshape(6, 4))),
+                             values.reshape(10, 4)).value
+    assert got.shape == (10, 6) and np.array_equal(got, flat)
+    with pytest.raises(ShapeMismatchError):
+        pairwise_log_prob(gauss([0.0, 0.0], [0.0, 0.0]), np.zeros((2, 3)))
+
+
+def test_pairwise_bernoulli_matches_log_prob_on_broadcast_pairs():
+    rng = np.random.default_rng(2)
+    logits = rng.uniform(-20.0, 20.0, (5, 16))  # some beyond the clamp
+    targets = rng.uniform(size=(6, 16))
+    got = pairwise_log_prob(FactorBernoulli(logits=Tensor.const(logits)), targets).value
+    ref = FactorBernoulli(logits=Tensor.const(logits[None])).log_prob(targets[:, None, :]).value
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="constant targets"):
+        pairwise_log_prob(FactorBernoulli(logits=Tensor.const(logits)), Tensor.param(targets))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-log-var", "per-row-log-var"])
+def test_pairwise_gaussian_gradients_match_finite_differences(shared):
+    # the values carry a gradient too, as the draws z do
+    values, mean, log_var = near_pairs(0.0, shared, rows=4, comps=3, dim=3, seed=3)
+    weights = np.random.default_rng(4).standard_normal((4, 3))
+    params = {"values": Tensor.param(values), "mean": Tensor.param(mean),
+              "log_var": Tensor.param(log_var)}
+
+    def f(p):
+        d = DiagonalGaussian(mean=p["mean"], log_var=p["log_var"])
+        return (pairwise_log_prob(d, p["values"]) * weights).sum()
+
+    assert finite_difference_check(f, params, h=1e-6) < 1e-6
+
+
+def test_pairwise_bernoulli_gradient_matches_finite_differences_and_stops_at_clamp():
+    rng = np.random.default_rng(5)
+    logits = rng.uniform(-3.0, 3.0, (3, 4))
+    logits[0, 1], logits[2, 3] = 17.0, -16.0
+    targets = rng.uniform(size=(4, 4))
+    weights = rng.standard_normal((4, 3))
+    params = {"logits": Tensor.param(logits)}
+
+    def f(p):
+        return (pairwise_log_prob(FactorBernoulli(logits=p["logits"]), targets) * weights).sum()
+
+    assert finite_difference_check(f, params, h=1e-6) < 1e-6
+    grad = params["logits"].grad
+    outside = np.abs(logits) >= LOGIT_CLAMP
+    assert outside.sum() == 2 and np.all(grad[outside] == 0.0) and np.all(grad[~outside] != 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmvae.autodiff import Tensor, backward, finite_difference_check
-from cmvae import bounds, distributions, relatedness
+from cmvae import bounds, distributions, objective, relatedness
 from cmvae.bounds import EstimatorSpec
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
@@ -286,27 +286,32 @@ def test_final_objective_moe_gradients_match_finite_differences():
 
 
 def test_moe_objective_scores_own_terms_once_per_row(monkeypatch):
-    # Per pair and slot, the other modality's likelihood and mixture
-    # component; per row and own slot, the modality's own two.  Scoring
-    # all four per pair would take 4 * batch * (1 + 2 * n_neg) * s rows.
-    rows = []
+    # Per row and own slot, the modality's own likelihood and mixture
+    # component: 4 * batch * s/2 rows.  The cross terms, the other
+    # modality's two, come as one matrix each over every row against every
+    # draw of the block, batch x batch * s/2 entries, from which the pairs'
+    # entries are gathered.  Scoring all four per pair would take
+    # 4 * batch * (1 + 2 * n_neg) * s rows.
+    rows, matrices = [], []
 
-    def counting(fn):
+    def counting(fn, into):
         def wrapped(*args):
             out = fn(*args)
-            rows.append(out.value.size)
+            into.append(out.value.shape)
             return out
         return wrapped
 
-    monkeypatch.setattr(distributions, "gaussian_log_prob", counting(distributions.gaussian_log_prob))
+    monkeypatch.setattr(distributions, "gaussian_log_prob", counting(distributions.gaussian_log_prob, rows))
     monkeypatch.setattr(distributions.FactorBernoulli, "log_prob",
-                        counting(distributions.FactorBernoulli.log_prob))
+                        counting(distributions.FactorBernoulli.log_prob, rows))
+    monkeypatch.setattr(bounds, "pairwise_log_prob", counting(bounds.pairwise_log_prob, matrices))
     model = perturbed_model(likelihoods=("gaussian", "bernoulli"), seed=4)
     batch, n_neg, s = 8, 3, 4
     obs = pair_batch(model, batch, seed=5)
     cfg = ObjectiveConfig.for_variant("cI", num_negatives=n_neg, num_samples=s)
     final_objective(model, obs, cfg, seed=1)
-    assert sum(rows) == 4 * batch * (1 + n_neg) * s
+    assert sum(np.prod(shape) for shape in rows) == 4 * batch * s // 2
+    assert sorted(matrices) == 2 * [(batch, batch * s // 2)] + 2 * [(batch * s // 2, batch)]
 
 
 @pytest.mark.parametrize("likelihoods", [("gaussian", "gaussian"), ("bernoulli", "bernoulli"),
@@ -346,3 +351,37 @@ def test_pmi_and_objective_reach_the_one_mixture_path(monkeypatch):
     final_objective(model, obs, ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4), 1)
     relatedness.pmi(model, obs["m1"], obs["m2"], 4, seed=1)
     assert calls == [True, False]
+
+
+def test_all_in_batch_negatives(monkeypatch):
+    # num_negatives = batch - 1: each anchor meets every other row once, in
+    # each direction, and the loss is the per-direction one.
+    scored = []
+
+    def spy(model, obs, num_samples, seed, pairs=None):
+        scored.append(pairs)
+        return bounds.joint_log_weights(model, obs, num_samples, seed, pairs)
+
+    monkeypatch.setattr(objective, "joint_log_weights", spy)
+    model = perturbed_model(seed=14)
+    batch = 6
+    obs = pair_batch(model, batch, seed=15)
+    cfg = ObjectiveConfig.for_variant("cC", num_negatives=batch - 1, num_samples=4)
+    loss, term1, term2 = final_objective(model, obs, cfg, seed=16)
+    (pairs,) = scored
+    anchors = np.arange(batch)
+    n = batch * (batch - 1)
+    for i, (replaced, kept) in enumerate((("m1", "m2"), ("m2", "m1"))):  # m1's row replaced first
+        block = slice(batch + i * n, batch + (i + 1) * n)
+        assert np.array_equal(pairs[kept][block], np.repeat(anchors, batch - 1))
+        for anchor, rows in enumerate(pairs[replaced][block].reshape(batch, batch - 1)):
+            assert sorted(rows) == [j for j in anchors if j != anchor]
+    ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=16)
+    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
+    assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
+    tiny = perturbed_model(likelihoods=("bernoulli", "gaussian"), seed=17, obs_dim=2)
+    tiny_obs = pair_batch(tiny, 3, seed=17)
+    tiny_obs["m1"] = 0.2 + 0.6 * tiny_obs["m1"]
+    tiny_cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
+    assert finite_difference_check(lambda params: final_objective(tiny, tiny_obs, tiny_cfg, seed=18)[0],
+                                   tiny.params, h=1e-5) < 1e-5
