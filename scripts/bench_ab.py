@@ -13,10 +13,12 @@ The summary gives, for each end-to-end metric in the change tree's
 BENCHMARK.json, the median and quartiles of each tree, the ratio of the
 medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
-beside the parent's interquartile range; it names every run that reported
-`failed` > 0.  `--json PATH` writes the same summary, with each pair's
-values, under the workload's name in the JSON object at PATH, keeping
-what the file holds for other workloads.  This file imports no numpy.
+beside the parent's interquartile range, and a no-regression verdict
+against the metric's relative `bound` (see `verdict`); it names every run
+that reported `failed` > 0.  `--json PATH` writes the same summary, with
+each pair's values, under the workload's name in the JSON object at PATH,
+keeping what the file holds for other workloads.  This file imports no
+numpy.
 """
 
 from __future__ import annotations
@@ -56,8 +58,31 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
-def summary(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
-    """Per-metric statistics of (parent, change) result lines; `better` maps metric -> 'higher'/'lower'."""
+def verdict(par: list[float], chg: list[float], direction: str, bound: float) -> str:
+    """No-regression verdict of the change's runs against the parent's, for a relative `bound`.
+
+    "within bound" when every change run beats every parent run; else "worse
+    beyond bound" when the change's median is worse than the parent's by more
+    than bound x |parent median|; else "unresolved" when the parent's IQR is
+    wider than that, since its own spread then hides a regression of that size;
+    else "within bound".
+    """
+    sign = 1 if direction == "higher" else -1
+    if all(sign * (c - p) > 0 for c in chg for p in par):
+        return "within bound"
+    mp, (q1, q3) = statistics.median(par), _quartiles(par)
+    if sign * (mp - statistics.median(chg)) > bound * abs(mp):
+        return "worse beyond bound"
+    return "unresolved" if q3 - q1 > bound * abs(mp) else "within bound"
+
+
+def summary(pairs: list[tuple[str, str]], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
+    """Per-metric statistics of (parent, change) result lines.
+
+    `better` maps metric -> 'higher'/'lower'; a metric named in `bounds`
+    also gets its bound and verdict.
+    """
     results = [(json.loads(p), json.loads(c)) for p, c in pairs]
     metrics = {}
     for name, direction in better.items():
@@ -75,15 +100,18 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
             "wins": sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg)),
             "ties": sum(c == p for p, c in zip(par, chg)),
             "median_gap": mc - mp, "parent_iqr": p3 - p1}
+        if bounds and name in bounds:
+            metrics[name].update(bound=bounds[name], verdict=verdict(par, chg, direction, bounds[name]))
     failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
               for i, (p, c) in enumerate(results)
               for tree, r in (("parent", p), ("change", c)) if r["failed"] > 0]
     return {"pairs": len(results), "metrics": metrics, "failed_runs": failed}
 
 
-def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> list[str]:
-    """Report lines for (parent, change) result lines; `better` maps metric -> 'higher'/'lower'."""
-    s = summary(pairs, better)
+def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[str]:
+    """Report lines for (parent, change) result lines; the arguments are summary's."""
+    s = summary(pairs, better, bounds)
     n = s["pairs"]
     lines = [f"{n} pairs, change/parent"]
     for name, m in s["metrics"].items():
@@ -96,6 +124,8 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> list[str]
                      f" ({m['ties']} ties); median gap {m['median_gap']:.6g},"
                      f" parent IQR {m['parent_iqr']:.6g}")
         lines.append("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
+        if "verdict" in m:
+            lines.append(f"  verdict: {m['verdict']} (bound {m['bound']:g})")
     for f in s["failed_runs"]:
         lines.append(f"FAILED: pair {f['pair']}, {f['tree']}: {f['failed']} of {f['attempted']} "
                      "calls and checks")
@@ -126,7 +156,9 @@ def main(argv=None) -> int:
                              "workload's key of the JSON object at PATH")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     trees = {"parent": args.parent, "change": args.change}
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -136,9 +168,9 @@ def main(argv=None) -> int:
             line[label] = run_tree(trees[label], args.workload, seed)
             print(f"seed {seed} {label}: {line[label]}", file=sys.stderr, flush=True)
         pairs.append((line["parent"], line["change"]))
-    print("\n".join(summarize(pairs, better)))
+    print("\n".join(summarize(pairs, better, bounds)))
     if args.json:
-        write_json(args.json, args.workload, parse_seeds(args.seeds), summary(pairs, better))
+        write_json(args.json, args.workload, parse_seeds(args.seeds), summary(pairs, better, bounds))
     return 0
 
 

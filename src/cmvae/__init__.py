@@ -7,21 +7,21 @@ pointwise mutual information.
 """
 
 from .autodiff import Tensor, backward, finite_difference_check, logsumexp
-from .bounds import EstimatorSpec, cubo, elbo, iwae, joint_bound, unimodal_marginal
+from .bounds import cubo, elbo, iwae, joint_bound, unimodal_marginal
 from .data import FactorSpec, PairedDataset, generate_unimodal, pair_random, pair_related, subset
 from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_log_prob, gaussian_product, rsample
 from .models import ModalitySpec, MultimodalModel, build_model
-from .objective import NegativeSet, ObjectiveConfig, draw_negatives, final_objective
+from .objective import ObjectiveConfig, draw_negatives, final_objective
 from .relatedness import PropagationConfig, PropagationReport, estimate_threshold, pmi, propagate
 from .training import RunConfig, TrainState, run_pipeline, train
 
 __all__ = [
     "Tensor", "backward", "finite_difference_check", "logsumexp",
-    "EstimatorSpec", "elbo", "iwae", "cubo", "joint_bound", "unimodal_marginal",
+    "elbo", "iwae", "cubo", "joint_bound", "unimodal_marginal",
     "FactorSpec", "PairedDataset", "generate_unimodal", "pair_related", "pair_random", "subset",
     "DiagonalGaussian", "FactorBernoulli", "gaussian_log_prob", "gaussian_product", "rsample",
     "ModalitySpec", "MultimodalModel", "build_model",
-    "ObjectiveConfig", "NegativeSet", "draw_negatives", "final_objective",
+    "ObjectiveConfig", "draw_negatives", "final_objective",
     "PropagationConfig", "PropagationReport", "pmi", "estimate_threshold", "propagate",
     "RunConfig", "TrainState", "train", "run_pipeline",
 ]

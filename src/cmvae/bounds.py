@@ -32,21 +32,6 @@ from .distributions import (DiagonalGaussian, mixture_log_density, pairwise_log_
                             standard_normal_log_prob)
 from .seeding import per_row_normal
 
-ESTIMATOR_KINDS = ("elbo", "iwae", "cubo")
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    kind: str
-    num_samples: int = 30
-
-    def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"estimator kind must be one of {ESTIMATOR_KINDS}")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-
-
 def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
                       pairs: dict | None = None) -> Tensor:
     """Log importance weights log p(z, obs) - log q(z | obs), shape (P, K).
@@ -88,9 +73,11 @@ def bound_from_log_weights(log_w: Tensor, kind: str) -> Tensor:
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def joint_bound(model, obs_by_modality: dict, spec: EstimatorSpec, seed: int) -> Tensor:
-    return bound_from_log_weights(
-        joint_log_weights(model, obs_by_modality, spec.num_samples, seed), spec.kind)
+def joint_bound(model, obs_by_modality: dict, kind: str, num_samples: int, seed: int) -> Tensor:
+    """Per-item `kind` estimate ("elbo", "iwae" or "cubo") from num_samples draws per item."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    return bound_from_log_weights(joint_log_weights(model, obs_by_modality, num_samples, seed), kind)
 
 
 def _pair_obs(model, x, y) -> dict:
@@ -102,17 +89,17 @@ def _pair_obs(model, x, y) -> dict:
 
 def elbo(model, x, y, num_samples: int, seed: int) -> Tensor:
     """Per-item multi-sample ELBO, (1/S) sum_s [log p(z_s, x, y) - log q(z_s | x, y)]."""
-    return joint_bound(model, _pair_obs(model, x, y), EstimatorSpec("elbo", num_samples), seed)
+    return joint_bound(model, _pair_obs(model, x, y), "elbo", num_samples, seed)
 
 
 def iwae(model, x, y, num_samples: int, seed: int) -> Tensor:
     """Per-item K-sample importance-weighted bound, logsumexp_k(log w_k) - log K."""
-    return joint_bound(model, _pair_obs(model, x, y), EstimatorSpec("iwae", num_samples), seed)
+    return joint_bound(model, _pair_obs(model, x, y), "iwae", num_samples, seed)
 
 
 def cubo(model, x, y, num_samples: int, seed: int) -> Tensor:
     """Per-item upper-bound estimate, (logsumexp_k(2 log w_k) - log K) / 2."""
-    return joint_bound(model, _pair_obs(model, x, y), EstimatorSpec("cubo", num_samples), seed)
+    return joint_bound(model, _pair_obs(model, x, y), "cubo", num_samples, seed)
 
 
 @dataclass(frozen=True)

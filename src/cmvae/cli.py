@@ -3,10 +3,12 @@
 Subcommands: train, eval, sweep-gamma, sweep-data, propagate, oracle-check.
 Configs are JSON files (see RunConfig); the CMVAE_SEED environment variable
 overrides the config seed.  Exit codes: 0 success, 1 a failed oracle-check,
-2 config error (including a batch that cannot supply num_negatives
-negatives, reported before any file is written), 3 numerical abort,
-4 unreadable checkpoint (missing, truncated, not a checkpoint, or saved
-for a different model).  Codes 2-4 print one line to stderr.
+2 config error, 3 numerical abort, 4 unreadable checkpoint (missing,
+truncated, not a checkpoint, or saved for a different model).  Codes 2-4
+print one line to stderr.  A config error is reported before any file is
+written: a config or sweep value RunConfig rejects (such as a gamma not
+finite and >= 1), a non-numeric list entry, sweep-gamma on a baseline
+config, or a run that cannot start (see training.check_config).
 """
 
 from __future__ import annotations
@@ -73,9 +75,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_gamma(args) -> int:
     cfg = _load_config(args.config)
-    gammas = [float(g) for g in args.gammas.split(",")]
-    if any(g < 1.0 for g in gammas):
-        raise ConfigError("gamma values must be >= 1")
+    gammas = _numbers(args.gammas, float, "--gammas")
     out = os.path.join(cfg.output_dir, f"{cfg.run_id}.gamma_sweep.csv")
     training.sweep_gamma(cfg, gammas, out)
     print(f"gamma sweep written to {out}")
@@ -84,23 +84,24 @@ def _cmd_sweep_gamma(args) -> int:
 
 def _cmd_sweep_data(args) -> int:
     cfg = _load_config(args.config)
-    percents = [float(p) for p in args.percents.split(",")]
-    if any(not 0.0 < p <= 100.0 for p in percents):
-        raise ConfigError("percents must lie in (0, 100]")
-    variants = args.variants.split(",")
-    for v in variants:
-        if v not in ("baseline", "cI", "cC"):
-            raise ConfigError(f"unknown variant {v!r}")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    percents = _numbers(args.percents, float, "--percents")
+    seeds = _numbers(args.seeds, int, "--seeds") if args.seeds else None
     out = os.path.join(cfg.output_dir, f"{cfg.run_id}.data_sweep.csv")
-    training.sweep_data_fraction(cfg, percents, variants, out, seeds=seeds)
+    training.sweep_data_fraction(cfg, percents, args.variants.split(","), out, seeds=seeds)
     print(f"data-fraction sweep written to {out}")
     return EXIT_OK
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
-    cfg = training.config_for_variant(cfg, args.variant)
+    cfg = replace(cfg, objective=replace(cfg.objective, variant=args.variant))
     try:
         pcfg = relatedness.PropagationConfig(
             pretrain_percent=args.pretrain_percent,

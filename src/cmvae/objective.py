@@ -3,18 +3,18 @@
 The loss pushes the estimated joint likelihood of a related pair above the
 likelihoods of pairs formed with within-batch negatives, with the positive
 term upweighted by gamma (> 1) to keep the likelihood-minimizing pull of
-the negative term from collapsing the generative model.  gamma = +inf is
-the baseline sentinel: plain ELBO training, no negatives.
+the negative term from collapsing the generative model.  The baseline
+trains on the plain ELBO and ignores gamma and num_negatives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import EstimatorSpec, bound_from_log_weights, joint_bound, joint_log_weights
+from .bounds import bound_from_log_weights, joint_bound, joint_log_weights
 from .seeding import derive_rng, tag
 
 VARIANTS = ("baseline", "cI", "cC")
@@ -22,66 +22,39 @@ VARIANTS = ("baseline", "cI", "cC")
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Loss weighting and estimator choices.
+    """Loss weighting and sample count; the variant fixes the estimators, of num_samples draws each.
 
-    variant "cI" scores negatives with IWAE, "cC" with CUBO; both keep IWAE
-    for the positive term.  "baseline" trains on the plain ELBO.
+    "baseline" trains on the ELBO; "cI" and "cC" score the positives with IWAE, the negatives with IWAE and CUBO.
     """
 
     variant: str = "cI"
     gamma: float = 2.0
     num_negatives: int = 5
-    term1: EstimatorSpec = field(default_factory=lambda: EstimatorSpec("iwae", 30))
-    term2: EstimatorSpec | None = field(default_factory=lambda: EstimatorSpec("iwae", 30))
+    num_samples: int = 30
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.variant == "baseline":
-            if not math.isinf(self.gamma):
-                raise ValueError("baseline mode uses the gamma = +inf sentinel")
-        else:
-            if not self.gamma >= 1.0:
-                raise ValueError("gamma must be >= 1")
-            if self.num_negatives < 1:
-                raise ValueError("num_negatives must be >= 1")
-            expected = {"cI": "iwae", "cC": "cubo"}[self.variant]
-            if self.term1.kind != "iwae":
-                raise ValueError(f"{self.variant} scores the positive term with iwae")
-            if self.term2 is None or self.term2.kind != expected:
-                raise ValueError(f"{self.variant} scores negatives with {expected}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma!r}")
+        if self.variant != "baseline" and self.num_negatives < 1:
+            raise ValueError("num_negatives must be >= 1")
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
 
     @staticmethod
     def for_variant(variant: str, gamma: float = 2.0, num_negatives: int = 5,
                     num_samples: int = 30) -> "ObjectiveConfig":
-        if variant == "baseline":
-            return ObjectiveConfig(variant="baseline", gamma=math.inf,
-                                   num_negatives=num_negatives,
-                                   term1=EstimatorSpec("elbo", num_samples), term2=None)
-        term2_kind = {"cI": "iwae", "cC": "cubo"}[variant]
-        return ObjectiveConfig(variant=variant, gamma=gamma, num_negatives=num_negatives,
-                               term1=EstimatorSpec("iwae", num_samples),
-                               term2=EstimatorSpec(term2_kind, num_samples))
-
-
-@dataclass(frozen=True)
-class NegativeSet:
-    """Per-anchor replacement indices, one (B, N) block per non-anchor modality.
-
-    Indices address the surrounding batch; an anchor's own partner index
-    never appears among its negatives.
-    """
-
-    indices: dict[str, np.ndarray]
-
-    @property
-    def num_negatives(self) -> int:
-        return next(iter(self.indices.values())).shape[1]
+        return ObjectiveConfig(variant, gamma, num_negatives, num_samples)
 
 
 def draw_negatives(batch_size: int, modality_names: list[str], num_negatives: int,
-                   seed: int) -> NegativeSet:
-    """Uniform without-replacement draws of other batch items, per anchor."""
+                   seed: int) -> dict[str, np.ndarray]:
+    """Uniform without-replacement draws of other batch items, per anchor.
+
+    Returns one (B, N) block of batch indices per modality; an anchor's own
+    index never appears among its negatives.
+    """
     if batch_size < num_negatives + 1:
         raise ValueError(
             f"batch of {batch_size} cannot supply {num_negatives} negatives per anchor")
@@ -93,11 +66,10 @@ def draw_negatives(batch_size: int, modality_names: list[str], num_negatives: in
             pool = np.delete(np.arange(batch_size), i)
             block[i] = rng.choice(pool, size=num_negatives, replace=False)
         indices[name] = block
-    return NegativeSet(indices=indices)
+    return indices
 
 
-def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
-                    seed: int, negatives: NegativeSet | None = None):
+def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, seed: int):
     """Batch-mean training loss for a two-modality model.
 
     Returns (loss, term1, term2): the differentiable scalar loss, the mean
@@ -105,9 +77,8 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
     In baseline mode the loss is -mean ELBO and term2 is NaN.
 
     The B positives and the 2BN negative pairs are scored by one
-    joint_log_weights call over index arrays into the batch rows (two
-    when the terms use different sample counts), so each modality row is
-    encoded, sampled and decoded once per call.
+    joint_log_weights call over index arrays into the batch rows, so each
+    modality row is encoded, sampled and decoded once.
     """
     names = [m.name for m in model.modalities]
     if len(names) != 2:
@@ -116,31 +87,24 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig,
     batch_size = obs[names[0]].shape[0]
 
     if cfg.variant == "baseline":
-        pos = joint_bound(model, obs, cfg.term1, seed)
+        pos = joint_bound(model, obs, "elbo", cfg.num_samples, seed)
         return -pos.mean(), float(pos.mean().value), math.nan
 
     n_neg = cfg.num_negatives
     if batch_size <= n_neg:
         raise ValueError(f"batch size {batch_size} must exceed num_negatives {n_neg}")
-    if negatives is None:
-        negatives = draw_negatives(batch_size, names, n_neg, seed)
+    negatives = draw_negatives(batch_size, names, n_neg, seed)
 
     # One direction per modality: that modality's row is replaced by each
     # of the anchor's negatives while the other modality keeps the anchor.
     anchors = np.arange(batch_size)
     kept = np.repeat(anchors, n_neg)
     a, b = names
-    neg_pairs = {a: np.concatenate([negatives.indices[a].reshape(-1), kept]),
-                 b: np.concatenate([kept, negatives.indices[b].reshape(-1)])}
-    if cfg.term1.num_samples == cfg.term2.num_samples:
-        pairs = {n: np.concatenate([anchors, rows]) for n, rows in neg_pairs.items()}
-        log_w = joint_log_weights(model, obs, cfg.term1.num_samples, seed, pairs)
-        pos_w, neg_w = log_w[:batch_size], log_w[batch_size:]
-    else:
-        pos_w = joint_log_weights(model, obs, cfg.term1.num_samples, seed)
-        neg_w = joint_log_weights(model, obs, cfg.term2.num_samples, seed, neg_pairs)
-    pos = bound_from_log_weights(pos_w, cfg.term1.kind)
-    est = bound_from_log_weights(neg_w, cfg.term2.kind)
+    pairs = {a: np.concatenate([anchors, negatives[a].reshape(-1), kept]),
+             b: np.concatenate([anchors, kept, negatives[b].reshape(-1)])}
+    log_w = joint_log_weights(model, obs, cfg.num_samples, seed, pairs)
+    pos = bound_from_log_weights(log_w[:batch_size], "iwae")
+    est = bound_from_log_weights(log_w[batch_size:], "cubo" if cfg.variant == "cC" else "iwae")
     lse = est.reshape(2, batch_size, n_neg).logsumexp(axis=2)
 
     contrast = 0.5 * (lse[0] + lse[1])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluation, relatedness
 from .autodiff import Tensor, backward, zero_grads
-from .bounds import EstimatorSpec, iwae
+from .bounds import iwae
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
 from .models import MultimodalModel, ModalitySpec, build_model
@@ -31,6 +31,7 @@ _CHECKPOINT_DTYPES = {b"f": "<f8", b"i": "<i8"}
 METRICS_SCHEMA = "# cmvae-metrics-v1"
 TRAINLOG_SCHEMA = "# cmvae-trainlog-v1"
 SWEEP_SCHEMA = "# cmvae-sweep-v1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class ConfigError(ValueError):
@@ -49,9 +50,6 @@ class NumericalAbort(RuntimeError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     steps: int = 5000
     batch_size: int = 64
 
@@ -63,6 +61,10 @@ class DatasetConfig:
     pairs_per_instance: int = 1
     percent: float = 100.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.percent <= 100.0:
+            raise ValueError(f"percent must lie in (0, 100], got {self.percent!r}")
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,34 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  Its JSON file holds these keys; a missing key takes its default, an unknown one is an error.
+
+    Top level: run_id, seed, eval_every, eval_items, output_dir, and the sections
+    dataset: factors, items_per_modality, pairs_per_instance, percent, seed;
+    dataset.factors: num_classes, modality_names, obs_dims, private_dims, likelihoods, noise_scale, map_seed;
+    model: joint_kind, latent_dim, hidden_dim, num_hidden, init_seed;
+    objective: variant, gamma, num_negatives, num_samples; optimizer: learning_rate, steps, batch_size.
+    """
+
     run_id: str = "run"
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    objective: ObjectiveConfig = field(default_factory=lambda: ObjectiveConfig.for_variant("cI"))
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     eval_every: int = 500
     eval_items: int = 256
     output_dir: str = "runs/run"
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["objective"]["gamma"] = "inf" if math.isinf(self.objective.gamma) else self.objective.gamma
-        return d
+    def save(self, path: str) -> None:
+        with open(path, "w") as fh:
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     @staticmethod
-    def from_json_dict(d: dict) -> "RunConfig":
-        d = dict(d)
+    def load(path: str) -> "RunConfig":
+        with open(path) as fh:
+            d = dict(json.load(fh))
         ds = dict(d.get("dataset", {}))
         if "factors" in ds:
             fs = dict(ds["factors"])
@@ -103,37 +115,9 @@ class RunConfig:
             ds["factors"] = FactorSpec(**fs)
         d["dataset"] = DatasetConfig(**ds)
         d["model"] = ModelConfig(**d.get("model", {}))
-        obj = dict(d.get("objective", {}))
-        if obj:
-            if obj.get("gamma") == "inf":
-                obj["gamma"] = math.inf
-            for term in ("term1", "term2"):
-                if obj.get(term) is not None:
-                    obj[term] = EstimatorSpec(**obj[term])
-            d["objective"] = ObjectiveConfig(**obj)
-        else:
-            d["objective"] = ObjectiveConfig.for_variant("cI")
+        d["objective"] = ObjectiveConfig(**d.get("objective", {}))
         d["optimizer"] = OptimizerConfig(**d.get("optimizer", {}))
         return RunConfig(**d)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path: str) -> "RunConfig":
-        with open(path) as fh:
-            return RunConfig.from_json_dict(json.load(fh))
-
-
-def config_for_variant(base: RunConfig, variant: str, num_samples: int | None = None) -> RunConfig:
-    k = num_samples if num_samples is not None else base.objective.term1.num_samples
-    gamma = base.objective.gamma if variant != "baseline" and math.isfinite(base.objective.gamma) else 2.0
-    obj = ObjectiveConfig.for_variant(variant, gamma=gamma,
-                                      num_negatives=base.objective.num_negatives,
-                                      num_samples=k)
-    return replace(base, objective=obj)
 
 
 # -- optimizer -----------------------------------------------------------------------
@@ -150,15 +134,15 @@ class Adam:
         self.v = {k: np.zeros_like(p.value) for k, p in sorted(params.items())}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.cfg.learning_rate
         self.t += 1
         for k in sorted(self.params):
             g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            m_hat = self.m[k] / (1 - c.beta1 ** self.t)
-            v_hat = self.v[k] / (1 - c.beta2 ** self.t)
-            self.params[k].value = self.params[k].value - c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            m_hat = self.m[k] / (1 - b1 ** self.t)
+            v_hat = self.v[k] / (1 - b2 ** self.t)
+            self.params[k].value = self.params[k].value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
@@ -346,7 +330,7 @@ def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = N
     else:
         synergy = evaluation.synergy_coherence(model, related, oracles, seed=seed)
 
-    scores = relatedness.score_dataset(model, mixed, cfg.objective.term1.num_samples, seed)
+    scores = relatedness.score_dataset(model, mixed, cfg.objective.num_samples, seed)
     rel = mixed.related.astype(bool)
     mean_rel = float(scores[rel].mean()) if rel.any() else math.nan
     mean_unrel = float(scores[~rel].mean()) if (~rel).any() else math.nan
@@ -383,13 +367,11 @@ def _append_metrics_row(path: str, row: dict) -> None:
 
 
 def train(cfg: RunConfig, dataset: PairedDataset | None = None,
-          state: TrainState | None = None, extra_steps: int | None = None,
-          evaluate: bool = True) -> TrainState:
+          state: TrainState | None = None, evaluate: bool = True) -> TrainState:
     """Minimize the configured objective; write train/metrics CSVs and checkpoints.
 
-    Passing an existing state continues training on (possibly) a new
-    dataset; extra_steps then bounds the continuation rather than the
-    config's step budget.
+    Runs cfg.optimizer.steps steps.  Passing an existing state continues
+    training from its step on (possibly) a new dataset.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
     check_config(cfg, len(ds))
@@ -403,7 +385,7 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
 
     num_pairs = len(ds)
     batch_size = min(cfg.optimizer.batch_size, num_pairs)
-    steps = extra_steps if extra_steps is not None else cfg.optimizer.steps
+    steps = cfg.optimizer.steps
     first, last = state.step, state.step + steps
 
     log_path = os.path.join(cfg.output_dir, f"{cfg.run_id}.train.csv")
@@ -452,7 +434,7 @@ def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = N
 
     train's batch from `num_pairs` pairs must supply the negatives, and a
     mixture posterior must split every sample count evenly across the
-    modalities: the objective's estimators and, for a propagation run,
+    modalities: the objective's and, for a propagation run,
     `pmi_num_samples`.
     """
     batch = min(cfg.optimizer.batch_size, num_pairs)
@@ -464,13 +446,8 @@ def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = N
     if cfg.model.joint_kind != "moe":
         return
     m = len(cfg.dataset.factors.modality_names)
-    counts = {"objective.term1": cfg.objective.term1.num_samples}
-    if cfg.objective.term2 is not None:
-        counts["objective.term2"] = cfg.objective.term2.num_samples
-    if pmi_num_samples is not None:
-        counts["pmi_num_samples"] = pmi_num_samples
-    for where, k in counts.items():
-        if k % m != 0:
+    for where, k in (("objective", cfg.objective.num_samples), ("pmi_num_samples", pmi_num_samples)):
+        if k is not None and k % m != 0:
             raise ConfigError(f"run {cfg.run_id!r}: the mixture posterior splits samples evenly "
                               f"across {m} modalities, but {where} has num_samples {k}")
 
@@ -497,6 +474,8 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
 
 def sweep_gamma(cfg: RunConfig, gammas: list[float], out_path: str) -> list[dict]:
     """Full train + eval per gamma with shared seeds; long-format CSV."""
+    if cfg.objective.variant == "baseline":
+        raise ConfigError(f"run {cfg.run_id!r}: the baseline loss does not use gamma")
     runs = (({"gamma": float(gamma)},
              replace(cfg, run_id=f"{cfg.run_id}-g{gamma}",
                      objective=replace(cfg.objective, gamma=float(gamma)),
@@ -510,7 +489,7 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
     """Cross product of variants x percents x paired seeds; long-format CSV."""
     seeds = seeds if seeds is not None else [cfg.seed]
     runs = (({"variant": variant, "percent": float(percent), "seed": seed},
-             replace(config_for_variant(cfg, variant),
+             replace(cfg, objective=replace(cfg.objective, variant=variant),
                      run_id=f"{cfg.run_id}-{variant}-p{percent}-s{seed}",
                      seed=seed,
                      dataset=replace(cfg.dataset, percent=float(percent), seed=seed),
@@ -523,9 +502,12 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
 def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:
     """Train each (key values, config) run from scratch, then write one metrics row per run.
 
-    Every run's dataset is built and checked before the first file is written.
+    Every run's config and dataset are built and checked before the first file is written.
     """
-    runs = [(key_values, rcfg, build_dataset(rcfg)) for key_values, rcfg in runs]
+    try:
+        runs = [(key_values, rcfg, build_dataset(rcfg)) for key_values, rcfg in runs]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for _, rcfg, ds in runs:
         check_config(rcfg, len(ds))
     columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
@@ -582,8 +564,7 @@ def run_pipeline(cfg: RunConfig, pcfg: relatedness.PropagationConfig) -> tuple[r
         if pcfg.continue_training:
             stage = "continue"
             merged = relatedness.merge_predicted(small_related, full_mixed, predicted)
-            state = train(cfg, dataset=merged, state=state,
-                          extra_steps=cfg.optimizer.steps, evaluate=False)
+            state = train(cfg, dataset=merged, state=state, evaluate=False)
             after = evaluate_model(state.model, cfg, state.step, heldout)
 
         report = relatedness.PropagationReport(

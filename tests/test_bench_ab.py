@@ -70,3 +70,28 @@ def test_json_summary_and_file_keep_every_workload(tmp_path):
     assert sorted(doc) == ["propagate", "train-contrastive"]
     assert doc["train-contrastive"] == {"seeds": [0, 1, 2], **summary}
     assert doc["propagate"]["metrics"]["heldout_iwae_nll"]["ties"] == 1
+
+
+def test_verdict_against_the_bound():
+    # bound 0.25: parent runs at 100, 110, 120 (median 110, IQR 10)
+    bounds = {"train_pairs_per_s": 0.25}
+    better = {"train_pairs_per_s": "higher"}
+
+    def run(change_rates, parent_rates=(100.0, 110.0, 120.0)):
+        pairs = [(result_line(p, 5.0), result_line(c, 5.0)) for p, c in zip(parent_rates, change_rates)]
+        return (bench_ab.summary(pairs, better, bounds)["metrics"]["train_pairs_per_s"]["verdict"],
+                bench_ab.summarize(pairs, better, bounds))
+
+    verdict, lines = run([95.0, 105.0, 125.0])  # 4.5% slower in the median
+    assert verdict == "within bound" and "  verdict: within bound (bound 0.25)" in lines
+    verdict, lines = run([70.0, 80.0, 90.0])  # 27% slower, beyond 25%
+    assert verdict == "worse beyond bound" and "  verdict: worse beyond bound (bound 0.25)" in lines
+    verdict, lines = run([100.0, 100.0, 100.0], parent_rates=(40.0, 110.0, 200.0))  # IQR 80 > 27.5
+    assert verdict == "unresolved" and "  verdict: unresolved (bound 0.25)" in lines
+    verdict, _ = run([201.0, 202.0, 203.0], parent_rates=(40.0, 110.0, 200.0))  # every change run wins
+    assert verdict == "within bound"
+    # a lower-is-better metric that rose beyond its bound
+    nll = bench_ab.summary([(result_line(1.0, 5.0), result_line(1.0, 6.5))],
+                           {"heldout_iwae_nll": "lower"}, {"heldout_iwae_nll": 0.2})
+    assert nll["metrics"]["heldout_iwae_nll"]["verdict"] == "worse beyond bound"
+    assert nll["metrics"]["heldout_iwae_nll"]["bound"] == 0.2

@@ -3,7 +3,6 @@ import pytest
 
 from cmvae.autodiff import Tensor, backward, finite_difference_check, zero_grads
 from cmvae.bounds import (
-    EstimatorSpec,
     bound_from_log_weights,
     cubo,
     elbo,
@@ -26,11 +25,14 @@ def oracle_pairs(oracle):
     return pairs["m1"], pairs["m2"]
 
 
-def test_estimator_spec_validation():
-    with pytest.raises(ValueError):
-        EstimatorSpec("evidence", 3)
-    with pytest.raises(ValueError):
-        EstimatorSpec("elbo", 0)
+def test_joint_bound_validation():
+    mods = [ModalitySpec("m1", 2, "gaussian"), ModalitySpec("m2", 2, "gaussian")]
+    model = build_model(mods, latent_dim=1, hidden_dim=4, joint_kind="explicit", seed=0)
+    obs = {"m1": np.zeros((2, 2)), "m2": np.zeros((2, 2))}
+    with pytest.raises(ValueError, match="unknown estimator kind 'evidence'"):
+        joint_bound(model, obs, "evidence", 3, seed=0)
+    with pytest.raises(ValueError, match="num_samples must be >= 1"):
+        joint_bound(model, obs, "elbo", 0, seed=0)
 
 
 def test_exact_posterior_bounds_are_exact(oracle, oracle_pairs):
@@ -136,8 +138,7 @@ def test_estimator_gradients_match_finite_differences():
     y = rng.standard_normal((3, 2))
     for kind in ("elbo", "iwae", "cubo"):
         def f(params, kind=kind):
-            spec = EstimatorSpec(kind, 4)
-            return joint_bound(model, {"m1": x, "m2": y}, spec, seed=17).mean()
+            return joint_bound(model, {"m1": x, "m2": y}, kind, 4, seed=17).mean()
 
         zero_grads(model.params)
         assert finite_difference_check(f, model.params, h=1e-5) < 1e-5, kind

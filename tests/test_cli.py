@@ -109,6 +109,8 @@ def test_sweep_data_csv(tmp_path):
                  "--variants", "cI"]) == 2
     assert main(["sweep-data", "--config", path, "--percents", "50",
                  "--variants", "cZ"]) == 2
+    assert main(["sweep-data", "--config", path, "--percents", "150",
+                 "--variants", "cI"]) == 2
 
 
 def test_batch_not_exceeding_negatives_fails_before_writing(tmp_path, capsys):
@@ -147,8 +149,7 @@ def test_uneven_mixture_sample_count_fails_before_writing(tmp_path, capsys):
     _, odd = tiny_config_file(tmp_path / "odd", steps=2)
     with open(odd) as fh:
         raw = json.load(fh)
-    for term in ("term1", "term2"):
-        raw["objective"][term]["num_samples"] = 5
+    raw["objective"]["num_samples"] = 5
     with open(odd, "w") as fh:
         json.dump(raw, fh)
     for argv in (["train"], ["sweep-gamma", "--gammas", "2"],
@@ -212,3 +213,57 @@ def test_console_entrypoint_runs():
                            "--items", "50"], capture_output=True, text=True)
     assert proc.returncode in (0, 1)
     assert "sandwich" in proc.stdout
+
+
+
+# case: (variant, objective keys to overwrite, argv, a word the error names)
+BAD_OBJECTIVE_INPUT = {
+    "cI-gamma-inf": ("cI", {"gamma": float("inf")}, ["train"], "gamma"),  # JSON literal Infinity
+    "cC-gamma-inf": ("cC", {"gamma": float("inf")}, ["train"], "gamma"),
+    "sweep-gammas-inf": ("cI", {}, ["sweep-gamma", "--gammas", "2,inf"], "gamma"),
+    "sweep-gammas-nan": ("cI", {}, ["sweep-gamma", "--gammas", "nan"], "gamma"),
+    "sweep-gamma-baseline": ("baseline", {}, ["sweep-gamma", "--gammas", "1,2"], "baseline"),
+    "gammas-not-numeric": ("cI", {}, ["sweep-gamma", "--gammas", "2,x"], "--gammas"),
+    "percents-not-numeric": ("cI", {}, ["sweep-data", "--percents", "50,half"], "--percents"),
+    "seeds-not-numeric": ("cI", {}, ["sweep-data", "--seeds", "0,1.5"], "--seeds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OBJECTIVE_INPUT))
+def test_bad_objective_input_exits_2_before_writing(tmp_path, capsys, case):
+    variant, objective, argv, word = BAD_OBJECTIVE_INPUT[case]
+    cfg, path = tiny_config_file(tmp_path, steps=2, variant=variant)
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["objective"].update(objective)
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)
+
+
+@pytest.mark.parametrize("case", ["terms", "adam", "baseline-gamma-inf"])
+def test_parent_format_config_exits_2_naming_the_file(tmp_path, capsys, case):
+    # the earlier format: per-term estimator specs, Adam's constants as
+    # optimizer fields, and the baseline's gamma as the string "inf"
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    if case == "terms":
+        del raw["objective"]["num_samples"]
+        raw["objective"].update(term1={"kind": "iwae", "num_samples": 4},
+                                term2={"kind": "iwae", "num_samples": 4})
+    elif case == "adam":
+        raw["optimizer"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+    else:
+        raw["objective"].update(variant="baseline", gamma="inf")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid config {path}: ") and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)

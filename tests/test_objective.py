@@ -5,7 +5,6 @@ import pytest
 
 from cmvae.autodiff import Tensor, backward, finite_difference_check
 from cmvae import bounds, distributions, objective, relatedness
-from cmvae.bounds import EstimatorSpec
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
 from cmvae.objective import ObjectiveConfig, draw_negatives, final_objective
@@ -77,34 +76,32 @@ def patched_const_model(value, batch, m=2, obs_dim=4):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ObjectiveConfig(variant="cI", gamma=0.5)
-    with pytest.raises(ValueError):
-        ObjectiveConfig(variant="baseline", gamma=2.0)
-    with pytest.raises(ValueError):
-        ObjectiveConfig(variant="cC", gamma=2.0,
-                        term1=EstimatorSpec("iwae", 4), term2=EstimatorSpec("iwae", 4))
-    cfg = ObjectiveConfig.for_variant("cC", num_samples=4)
-    assert cfg.term1.kind == "iwae" and cfg.term2.kind == "cubo"
+    for bad in ({"gamma": 0.5}, {"gamma": math.inf}, {"gamma": math.nan}, {"variant": "cZ"},
+                {"num_negatives": 0}, {"num_samples": 0},
+                {"variant": "baseline", "gamma": math.inf}, {"variant": "cC", "gamma": -math.inf}):
+        with pytest.raises(ValueError):
+            ObjectiveConfig(**bad)
+    ObjectiveConfig(variant="baseline", num_negatives=0)  # the baseline draws no negatives
+    assert ObjectiveConfig.for_variant("cC", 1.5, 3, 4) == ObjectiveConfig("cC", 1.5, 3, 4)
 
 
 def test_draw_negatives_excludes_anchor_and_is_deterministic():
     negs = draw_negatives(8, ["m1", "m2"], 5, seed=3)
     again = draw_negatives(8, ["m1", "m2"], 5, seed=3)
     for name in ("m1", "m2"):
-        block = negs.indices[name]
+        block = negs[name]
         assert block.shape == (8, 5)
         for i in range(8):
             assert i not in block[i]
             assert len(set(block[i])) == 5
-        assert np.array_equal(block, again.indices[name])
+        assert np.array_equal(block, again[name])
 
 
 def test_draw_negatives_forced_by_exclusion():
     negs = draw_negatives(6, ["m1", "m2"], 5, seed=1)
     for name in ("m1", "m2"):
         for i in range(6):
-            assert sorted(negs.indices[name][i]) == sorted(set(range(6)) - {i})
+            assert sorted(negs[name][i]) == sorted(set(range(6)) - {i})
 
 
 def test_draw_negatives_batch_too_small():
@@ -118,7 +115,7 @@ def test_negative_class_collision_rate_matches_chance():
     data = generate_unimodal(spec, 400, "m1", seed=0)
     negs = draw_negatives(400, ["m1"], 5, seed=9)
     anchor = data.labels[:, None]
-    hit = data.labels[negs.indices["m1"]] == anchor
+    hit = data.labels[negs["m1"]] == anchor
     rate = hit.mean()
     n = hit.size
     ci = 3 * math.sqrt(0.2 * 0.8 / n)
@@ -137,12 +134,13 @@ def test_final_objective_algebraic_identity():
 
 
 def test_final_objective_baseline_sentinel():
+    # the baseline is the plain ELBO: gamma and num_negatives do not enter it
     model, obs = patched_const_model(-7.5, batch=6)
-    cfg = ObjectiveConfig.for_variant("baseline", num_samples=3)
-    assert math.isinf(cfg.gamma)
-    loss, term1, term2 = final_objective(model, obs, cfg, seed=1)
-    assert float(loss.value) == pytest.approx(7.5, abs=1e-9)
-    assert math.isnan(term2)
+    for gamma, n_neg in ((2.0, 5), (64.0, 0)):
+        cfg = ObjectiveConfig.for_variant("baseline", gamma, n_neg, num_samples=3)
+        loss, term1, term2 = final_objective(model, obs, cfg, seed=1)
+        assert float(loss.value) == pytest.approx(7.5, abs=1e-9)
+        assert term1 == pytest.approx(-7.5, abs=1e-9) and math.isnan(term2)
 
 
 def test_final_objective_gamma_one_is_plain_contrastive():
@@ -213,13 +211,14 @@ def per_direction_objective(model, obs, cfg, seed):
     batch_size = obs[names[0]].shape[0]
     n_neg = cfg.num_negatives
     negatives = draw_negatives(batch_size, names, n_neg, seed)
-    pos = bounds.joint_bound(model, obs, cfg.term1, seed)
+    pos = bounds.joint_bound(model, obs, "iwae", cfg.num_samples, seed)
     lse = []
     for replaced in names:
         kept = names[0] if replaced == names[1] else names[1]
         rows = {kept: np.repeat(obs[kept], n_neg, axis=0),
-                replaced: obs[replaced][negatives.indices[replaced].reshape(-1)]}
-        est = bounds.joint_bound(model, rows, cfg.term2, seed)
+                replaced: obs[replaced][negatives[replaced].reshape(-1)]}
+        est = bounds.joint_bound(model, rows, {"cI": "iwae", "cC": "cubo"}[cfg.variant],
+                                 cfg.num_samples, seed)
         lse.append(est.reshape(batch_size, n_neg).logsumexp(axis=1))
     contrast = 0.5 * (lse[0] + lse[1])
     return (-cfg.gamma * pos + contrast).mean(), float(pos.mean().value), float(contrast.mean().value)
@@ -231,16 +230,15 @@ def per_direction_objective(model, obs, cfg, seed):
 def test_moe_pair_matrix_matches_direct_bound(likelihoods, kind):
     model = perturbed_model(likelihoods=likelihoods, seed=4)
     obs = pair_batch(model, 5, seed=5)
-    spec = EstimatorSpec(kind, 6)
     rows, cols = np.divmod(np.arange(25), 5)
     log_w = bounds.joint_log_weights(model, obs, 6, seed=9, pairs={"m1": rows, "m2": cols})
     matrix = bounds.bound_from_log_weights(log_w, kind).value
     for p, (i, j) in enumerate(zip(rows, cols)):
         direct = bounds.joint_bound(model, {"m1": obs["m1"][i:i + 1], "m2": obs["m2"][j:j + 1]},
-                                    spec, seed=9).value[0]
+                                    kind, 6, seed=9).value[0]
         assert matrix[p] == pytest.approx(direct, rel=1e-12, abs=0.0)
     # the positives are the plain batch bound
-    diag = bounds.joint_bound(model, obs, spec, seed=9).value
+    diag = bounds.joint_bound(model, obs, kind, 6, seed=9).value
     np.testing.assert_allclose(matrix[rows == cols], diag, rtol=1e-12, atol=0.0)
 
 
@@ -260,20 +258,6 @@ def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
     assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
     for k in grads:
         np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-9, atol=1e-12, err_msg=k)
-
-
-def test_final_objective_unequal_sample_counts():
-    model = perturbed_model(seed=8)
-    obs = pair_batch(model, 6, seed=8)
-    cfg = ObjectiveConfig(variant="cC", gamma=1.5, num_negatives=2,
-                          term1=EstimatorSpec("iwae", 4), term2=EstimatorSpec("cubo", 8))
-    loss, term1, term2 = final_objective(model, obs, cfg, seed=3)
-    ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=3)
-    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
-    assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
-    # the positive term is the plain K=4 batch bound, not a slice of the K=8 draws
-    assert term1 == pytest.approx(float(bounds.joint_bound(model, obs, cfg.term1, 3).mean().value),
-                                  rel=1e-12)
 
 
 def test_final_objective_moe_gradients_match_finite_differences():

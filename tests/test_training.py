@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from cmvae.training import (
 from cmvae.autodiff import Tensor
 from cmvae.relatedness import PropagationConfig
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 TINY = FactorSpec(num_classes=3, obs_dims=(6, 6), private_dims=(1, 1))
 
 
@@ -65,20 +69,47 @@ def test_adam_matches_reference_update():
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = tiny_config(tmp_path / "runs")
     path = str(tmp_path / "cfg.json")
-    cfg.save(path)
-    back = RunConfig.load(path)
-    assert back == cfg
+    for variant in ("cI", "cC"):
+        cfg = tiny_config(tmp_path / "runs", variant=variant)
+        cfg.save(path)
+        assert RunConfig.load(path) == cfg, variant
 
 
 def test_config_roundtrip_preserves_baseline_sentinel(tmp_path):
+    # the baseline is marked by its variant name alone, so its file is strict JSON
     cfg = tiny_config(tmp_path / "runs", variant="baseline")
     path = str(tmp_path / "cfg.json")
     cfg.save(path)
+    with open(path) as fh:
+        raw = json.load(fh, parse_constant=lambda name: pytest.fail(f"non-standard JSON constant {name}"))
+    assert raw["objective"]["variant"] == "baseline"
     back = RunConfig.load(path)
-    assert math.isinf(back.objective.gamma)
+    assert back.objective.variant == "baseline"
     assert back == cfg
+
+
+def test_shipped_script_configs_load_back(tmp_path, monkeypatch):
+    # every config the scripts write loads back equal and passes check_config
+    def script(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    saved, real_save = [], RunConfig.save
+    monkeypatch.setattr(RunConfig, "save", lambda self, path: saved.append((self, path)) or real_save(self, path))
+    for variant in ("baseline", "cI", "cC"):
+        monkeypatch.setattr(sys, "argv", ["make_default_config.py", str(tmp_path / f"{variant}.json"),
+                                          "--variant", variant])
+        script("make_default_config").main()
+    for name in ("run_data_efficiency", "run_label_propagation"):
+        script(name).build_default(str(tmp_path / f"{name}.json"))
+    assert [cfg.objective.variant for cfg, _ in saved] == ["baseline", "cI", "cC", "cI", "cI"]
+    for cfg, path in saved:
+        back = RunConfig.load(path)
+        assert back == cfg, path
+        check_config(back, back.dataset.items_per_modality, PropagationConfig().pmi_num_samples)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -210,7 +241,7 @@ def test_checkpoint_restore_equals_uninterrupted(tmp_path):
     restored = restore_state(cfg_half, ckpt)
     assert restored.step == 4
     ds = build_dataset(cfg_half)
-    resumed = train(cfg_half, dataset=ds, state=restored, extra_steps=4, evaluate=False)
+    resumed = train(cfg_half, dataset=ds, state=restored, evaluate=False)  # 4 more steps
     assert resumed.step == 8
     for k in full.model.params:
         assert np.array_equal(full.model.params[k].value, resumed.model.params[k].value), k
