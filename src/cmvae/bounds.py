@@ -123,8 +123,7 @@ def unimodal_draws(model, name: str, obs, num_samples: int, seed: int) -> Unimod
     model.modality(name)  # raises UnknownModalityError for bad names
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     q = model.encode_unimodal(name, obs).per_row()
-    noise = per_row_normal(seed, f"joint_posterior.{name}", [(r,) for r in obs],
-                           (num_samples, model.latent_dim))
+    noise = per_row_normal(seed, f"joint_posterior.{name}", obs, (num_samples, model.latent_dim))
     z = q.rsample(noise)
     return UnimodalDraws(q=q, z=z, log_prior=standard_normal_log_prob(z),
                          log_lik=model.decode(name, z).log_prob(obs[:, None, :]),

@@ -187,8 +187,7 @@ class AnalyticLinearModel:
         obs = {n: np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64))
                for n in self.oracle.names}
         q = self._posterior(obs)
-        batch = q.mean.shape[0]
-        rows = [tuple(obs[n][i] for n in self.oracle.names) for i in range(batch)]
+        rows = np.concatenate([obs[n] for n in self.oracle.names], axis=1)
         noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
         return sample_per_row(q, noise)
 
@@ -260,8 +259,7 @@ def latent_accuracy(model, ds, rows=None, seed: int = 0) -> dict[str, float]:
     if getattr(model, "joint_kind", None) == "moe":
         for name in names:
             q = model.encode_unimodal(name, obs[name])
-            noise = per_row_normal(seed, f"latent_acc.{name}", [(r,) for r in obs[name]],
-                                   (model.latent_dim,))
+            noise = per_row_normal(seed, f"latent_acc.{name}", obs[name], (model.latent_dim,))
             z = q.rsample(Tensor.const(noise)).value
             out[name] = linear_probe_accuracy(z, labels_by[name], ds.spec.num_classes)
     else:

@@ -129,7 +129,7 @@ class MultimodalModel:
         every modality.
 
         Explicit and PoE posteriors condition on the whole pair, and noise
-        is keyed on the pair's rows.
+        is keyed on the pair's modality rows, concatenated in name order.
 
         The mixture posterior draws per modality row: row p of z holds, for
         each modality m in name order, S/M stratified draws from
@@ -140,9 +140,7 @@ class MultimodalModel:
         row.  num_samples must divide evenly across modalities.
         """
         if self.joint_kind in ("explicit", "poe"):
-            first = np.atleast_2d(np.asarray(obs_by_modality[self.modalities[0].name]))
-            rows = [tuple(np.atleast_2d(np.asarray(obs_by_modality[m.name]))[i]
-                          for m in self.modalities) for i in range(first.shape[0])]
+            rows = np.concatenate([np.atleast_2d(obs_by_modality[m.name]) for m in self.modalities], axis=1)
             noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
             return sample_per_row(self.encode_joint(obs_by_modality), noise)
 
@@ -154,8 +152,7 @@ class MultimodalModel:
         for spec in self.modalities:
             obs = np.atleast_2d(np.asarray(obs_by_modality[spec.name], dtype=np.float64))
             q = self.encode_unimodal(spec.name, obs).per_row()
-            noise = per_row_normal(seed, f"joint_posterior.{spec.name}", [(r,) for r in obs],
-                                   (per, self.latent_dim))
+            noise = per_row_normal(seed, f"joint_posterior.{spec.name}", obs, (per, self.latent_dim))
             comps.append(q)
             draws.append(q.rsample(noise))
         z = concat(draws, axis=1)
@@ -200,9 +197,7 @@ class MultimodalModel:
             raise ValueError("cross generation needs distinct source and target")
         self.modality(target)
         q = self.encode_unimodal(source, obs)
-        obs2 = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        noise = per_row_normal(seed, "cross_generate", [(r,) for r in obs2],
-                               (self.latent_dim,))
+        noise = per_row_normal(seed, "cross_generate", np.atleast_2d(obs), (self.latent_dim,))
         z = q.rsample(Tensor.const(noise))
         return self.decode(target, z).mean.value
 

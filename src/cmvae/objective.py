@@ -52,20 +52,19 @@ def draw_negatives(batch_size: int, modality_names: list[str], num_negatives: in
                    seed: int) -> dict[str, np.ndarray]:
     """Uniform without-replacement draws of other batch items, per anchor.
 
-    Returns one (B, N) block of batch indices per modality; an anchor's own
-    index never appears among its negatives.
+    Returns one (B, N) block of batch indices per modality: each anchor's
+    row of a (B, B) matrix of uniform keys, with its own entry masked
+    above every key, is stably argsorted and its first N kept.  So an
+    anchor's own index never appears among its negatives.
     """
     if batch_size < num_negatives + 1:
         raise ValueError(
             f"batch of {batch_size} cannot supply {num_negatives} negatives per anchor")
     indices = {}
     for name in sorted(modality_names):
-        rng = derive_rng(seed, tag(f"negatives.{name}"))
-        block = np.empty((batch_size, num_negatives), dtype=np.int64)
-        for i in range(batch_size):
-            pool = np.delete(np.arange(batch_size), i)
-            block[i] = rng.choice(pool, size=num_negatives, replace=False)
-        indices[name] = block
+        keys = derive_rng(seed, tag(f"negatives.{name}")).random((batch_size, batch_size))
+        np.fill_diagonal(keys, 2.0)
+        indices[name] = np.argsort(keys, axis=1, kind="stable")[:, :num_negatives]
     return indices
 
 

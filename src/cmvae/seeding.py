@@ -2,17 +2,18 @@
 
 All randomness in the library flows from explicit integer seeds through
 these helpers.  Estimator noise is keyed on the *content* of the rows it
-belongs to (a hash of their observation bytes) rather than on batch
-position, so the noise, and up to BLAS rounding the per-item estimates,
-are invariant to batch permutation and to the composition of the
-surrounding batch.  Draws that depend on one modality are keyed on that
-modality's row alone under the stream "joint_posterior.<name>", so every
-pair that shares the row shares its draws.  The mixture posterior's
+belongs to (row_keys, a counter-based hash of their f64 words after
+Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3") rather
+than on batch position, so the noise, and up to BLAS rounding the per-item
+estimates, are invariant to batch permutation and to the composition of
+the surrounding batch.  Draws that depend on one modality are keyed on
+that modality's row alone under the stream "joint_posterior.<name>", so
+every pair that shares the row shares its draws.  The mixture posterior's
 components and the unimodal marginals both draw there: per_row_normal is
 counter-based, so a row's first S' draws are the same whatever S >= S' is
 asked for, and a mixture's S/M draws from a row are the first S/M of that
 row's marginal draws.  Draws from a posterior over the whole pair are
-keyed on the pair's rows in canonical modality order.
+keyed on the pair's modality rows concatenated in canonical name order.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ def tag(name: str) -> int:
     return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=8).digest(), "little") & MASK63
 
 
-def content_key(*rows: np.ndarray) -> int:
-    """Hash of the ordered row contents.
-
-    Each row enters tagged with its position and byte length, so equal
-    rows never cancel and (a, b) keys differently from (b, a).  Callers
-    list modalities in canonical name order, which is what makes keys
-    independent of how the modality list was written down.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    for position, row in enumerate(rows):
-        data = np.ascontiguousarray(row, dtype=np.float64).tobytes()
-        h.update(position.to_bytes(8, "little") + len(data).to_bytes(8, "little") + data)
-    return int.from_bytes(h.digest(), "little") & MASK63
-
-
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MUL2 = np.uint64(0x94D049BB133111EB)
@@ -63,15 +49,32 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def per_row_normal(seed: int, stream: str, rows: list[tuple[np.ndarray, ...]],
-                   shape: tuple) -> np.ndarray:
-    """Standard-normal noise of `(len(rows), *shape)`, keyed per row content.
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """(R,) uint64 key of each row of an (R, W) array, from its f64 words.
 
-    Counter-based (SplitMix64 streams fed through Box-Muller) so the whole
-    block is produced in a few vectorized passes instead of one generator
-    per row.
+    Word j is XORed with a tag for position j and mixed through SplitMix64,
+    the mixed words are summed mod 2^64, and the row width is folded in.
+    Position tags keep equal words from cancelling: (a, b) and (b, a) key
+    differently, and (r, r) keys nonzero and distinctly across r.
     """
-    keys = np.array([content_key(*row) for row in rows], dtype=np.uint64)
+    words = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    if words.ndim != 2:
+        raise ValueError(f"rows must be a 2-d array, got shape {words.shape}")
+    position = _splitmix64(np.arange(words.shape[1], dtype=np.uint64))
+    with np.errstate(over="ignore"):
+        total = _splitmix64(words ^ position).sum(axis=1, dtype=np.uint64)
+    return _splitmix64(total ^ np.uint64(words.shape[1]))
+
+
+def per_row_normal(seed: int, stream: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Standard-normal noise of `(len(rows), *shape)`, keyed on each row's content.
+
+    `rows` is (R, W), keyed by row_keys; noise keyed on several modalities
+    concatenates their rows in canonical name order.  Counter-based
+    (SplitMix64 streams fed through Box-Muller): the block takes a few
+    vectorized passes, and a row's first S' of S draws do not depend on S.
+    """
+    keys = row_keys(rows)
     stream_mix = _splitmix64(np.uint64((seed & MASK63) ^ tag(stream)))
     base = _splitmix64(keys ^ stream_mix)
 

@@ -373,15 +373,19 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     Runs cfg.optimizer.steps steps.  Passing an existing state continues
     training from its step on (possibly) a new dataset.
     """
-    ds = dataset if dataset is not None else build_dataset(cfg)
+    try:
+        ds = dataset if dataset is not None else build_dataset(cfg)
+        heldout = heldout_sets(cfg) if evaluate else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     check_config(cfg, len(ds))
-    heldout = heldout_sets(cfg) if evaluate else None
     os.makedirs(cfg.output_dir, exist_ok=True)
     if state is None:
         model = build_model_from_config(cfg)
         state = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer),
                            seed=cfg.seed)
     model, opt = state.model, state.optimizer
+    zero_grads(model.params)  # backward adds to any gradient a caller left behind
 
     num_pairs = len(ds)
     batch_size = min(cfg.optimizer.batch_size, num_pairs)
@@ -404,7 +408,6 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                 num_pairs, size=batch_size, replace=False)
             obs = ds.pair_observations(batch_rows)
             step_seed = int(derive_rng(state.seed, tag("step_noise"), step).integers(1 << 62))
-            zero_grads(model.params)
             loss, term1, term2 = final_objective(model, obs, cfg.objective, step_seed)
             if not np.isfinite(loss.value):
                 raise NumericalAbort(step, last_good)
@@ -412,6 +415,7 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
             if not _all_finite(grads.values()):
                 raise NumericalAbort(step, last_good)
             opt.step(grads)
+            zero_grads(model.params)  # the returned model holds no gradient arrays
             state.step = step + 1
             log.write(csv_line([step, float(loss.value), term1, term2]))
 

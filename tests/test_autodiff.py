@@ -151,7 +151,7 @@ def test_three_layer_perceptron_grads_match_finite_differences():
         out = affine(h, p["w2"], p["b2"])
         return (out * out).mean()
 
-    assert finite_difference_check(f, params, h=1e-5) < 1e-5
+    assert finite_difference_check(f, params) < 1e-5
 
 
 def test_finite_difference_simple_quadratic():
@@ -160,7 +160,7 @@ def test_finite_difference_simple_quadratic():
     def f(params):
         return (params["p"] * params["p"]).sum()
 
-    assert finite_difference_check(f, p, h=1e-5) < 1e-8
+    assert finite_difference_check(f, p) < 1e-8
 
 
 def test_finite_difference_constant_function_zero_error():
@@ -169,7 +169,7 @@ def test_finite_difference_constant_function_zero_error():
     def f(params):
         return params["p"].sum() * 0.0
 
-    assert finite_difference_check(f, p, h=1e-5) == 0.0
+    assert finite_difference_check(f, p) == 0.0
 
 
 def test_finite_difference_nonfinite_errors():
@@ -179,7 +179,7 @@ def test_finite_difference_nonfinite_errors():
         return params["p"].log().sum()  # -inf at 0
 
     with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-        finite_difference_check(f, p, h=1e-5)
+        finite_difference_check(f, p)
 
 
 def test_rerun_bit_identical():

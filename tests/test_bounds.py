@@ -141,7 +141,7 @@ def test_estimator_gradients_match_finite_differences():
             return joint_bound(model, {"m1": x, "m2": y}, kind, 4, seed=17).mean()
 
         zero_grads(model.params)
-        assert finite_difference_check(f, model.params, h=1e-5) < 1e-5, kind
+        assert finite_difference_check(f, model.params) < 1e-5, kind
 
 
 def test_unimodal_marginal_oracle_value(oracle):

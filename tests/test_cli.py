@@ -267,3 +267,19 @@ def test_parent_format_config_exits_2_naming_the_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: invalid config {path}: ") and err.count("\n") == 1, err
     assert not os.path.exists(cfg.output_dir)
+
+
+@pytest.mark.parametrize("field,value,word", [("percent", 1.0, "subset of 0 items"),
+                                              ("eval_items", 0, "balanced classes")])
+def test_train_unbuildable_dataset_exits_2_before_writing(tmp_path, capsys, field, value, word):
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    (raw["dataset"] if field == "percent" else raw)[field] = value
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)

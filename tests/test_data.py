@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cmvae.data import (
     DegenerateMapError,
     FactorSpec,
+    UnimodalData,
     generate_unimodal,
     make_related_dataset,
     mixing_maps,
@@ -97,8 +98,69 @@ def test_pair_related_missing_class_errors():
     from cmvae.data import UnimodalData
     mask = y.labels != 3
     y_missing = UnimodalData("m2", y.observations[mask], y.labels[mask])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class 3 present in 'm1' but absent in 'm2'"):
         pair_related(SPEC, x, y_missing, pairs_per_instance=2, seed=0)
+
+
+def labelled(modality, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    return UnimodalData(modality, np.arange(float(labels.size))[:, None], labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda c: st.tuples(
+           st.lists(st.integers(0, c - 1), min_size=1, max_size=30),
+           st.lists(st.integers(0, c - 1), min_size=0, max_size=30), st.just(c))),
+       st.integers(1, 5), st.integers(0, 2**32))
+def test_pair_related_same_class_distinct_and_deterministic(labels, ppi, seed):
+    x_labels, extra, num_classes = labels
+    x = labelled("m1", x_labels)
+    y = labelled("m2", list(range(num_classes)) + extra)  # every class has a pool
+    ds = pair_related(SPEC, x, y, pairs_per_instance=ppi, seed=seed)
+    assert np.array_equal(ds.pairs[:, 0], np.repeat(np.arange(x.labels.size), ppi))
+    partners = ds.pairs[:, 1].reshape(-1, ppi)
+    assert np.array_equal(y.labels[partners], np.repeat(x.labels[:, None], ppi, axis=1))
+    for c in np.unique(x.labels):
+        if np.count_nonzero(y.labels == c) >= ppi:
+            rows = partners[x.labels == c]
+            assert all(len(set(r.tolist())) == ppi for r in rows)  # an item's partners are distinct
+    again = pair_related(SPEC, x, y, pairs_per_instance=ppi, seed=seed)
+    assert np.array_equal(again.pairs, ds.pairs)
+
+
+def test_pair_related_draws_iid_per_item():
+    # one partner per item from an equal-sized pool: an iid uniform draw
+    # leaves about 1/e of the pool unpaired (sd about 0.011 here)
+    n = 2000
+    x, y = labelled("m1", np.zeros(n)), labelled("m2", np.zeros(n))
+    partners = pair_related(SPEC, x, y, pairs_per_instance=1, seed=0).pairs[:, 1]
+    unused = 1.0 - np.unique(partners).size / n
+    assert abs(unused - math.exp(-1.0)) < 0.04, unused
+
+
+def test_pair_related_uniform_per_position():
+    # over many seeds, each partner slot takes each pool row equally often,
+    # both drawing without replacement (ppi <= pool) and with it (ppi > pool):
+    # chi-square with pool - 1 = 4 degrees of freedom
+    x, y, seeds = labelled("m1", [0, 0]), labelled("m2", [1, 0, 0, 0, 1, 0, 0]), 2000
+    pool = np.flatnonzero(y.labels == 0)
+    for ppi in (3, 7):
+        draws = np.stack([pair_related(SPEC, x, y, pairs_per_instance=ppi, seed=s).pairs[:, 1]
+                          for s in range(seeds)])
+        for slot in range(draws.shape[1]):
+            counts = np.bincount(draws[:, slot], minlength=y.labels.size)
+            assert counts[[0, 4]].sum() == 0
+            expect = seeds / pool.size
+            chi2 = float(((counts[pool] - expect) ** 2 / expect).sum())
+            assert chi2 < 23.5, (ppi, slot, counts)  # p = 1e-4 at 4 dof
+
+
+def test_pair_related_seed_changes_the_pairing():
+    x = generate_unimodal(SPEC, 40, "m1", seed=4)
+    y = generate_unimodal(SPEC, 40, "m2", seed=5)
+    a = pair_related(SPEC, x, y, pairs_per_instance=3, seed=0).pairs
+    b = pair_related(SPEC, x, y, pairs_per_instance=3, seed=1).pairs
+    assert not np.array_equal(a, b)
 
 
 def test_pair_related_perfect_matching_case():

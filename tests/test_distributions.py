@@ -243,7 +243,7 @@ def test_pairwise_gaussian_gradients_match_finite_differences(shared):
         d = DiagonalGaussian(mean=p["mean"], log_var=p["log_var"])
         return (pairwise_log_prob(d, p["values"]) * weights).sum()
 
-    assert finite_difference_check(f, params, h=1e-6) < 1e-6
+    assert finite_difference_check(f, params) < 1e-6
 
 
 def test_pairwise_bernoulli_gradient_matches_finite_differences_and_stops_at_clamp():
@@ -257,7 +257,7 @@ def test_pairwise_bernoulli_gradient_matches_finite_differences_and_stops_at_cla
     def f(p):
         return (pairwise_log_prob(FactorBernoulli(logits=p["logits"]), targets) * weights).sum()
 
-    assert finite_difference_check(f, params, h=1e-6) < 1e-6
+    assert finite_difference_check(f, params) < 1e-6
     grad = params["logits"].grad
     outside = np.abs(logits) >= LOGIT_CLAMP
     assert outside.sum() == 2 and np.all(grad[outside] == 0.0) and np.all(grad[~outside] != 0.0)

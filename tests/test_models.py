@@ -200,5 +200,5 @@ def test_moe_draws_keyed_per_modality_row():
     assert not np.array_equal(z.value[:, :3], z.value[:, 3:])  # equal rows, distinct streams
     z2, _ = model.joint_posterior_samples({"m1": x, "m2": y}, 6, seed=3)
     assert np.array_equal(z2.value[:, :3], z.value[:, :3])  # a row's draws ignore its partner
-    expect = per_row_normal(3, "joint_posterior.m2", [(r,) for r in y], (3, 2))
+    expect = per_row_normal(3, "joint_posterior.m2", y, (3, 2))
     assert np.array_equal(z2.value[:, 3:], expect)

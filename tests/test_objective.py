@@ -104,6 +104,23 @@ def test_draw_negatives_forced_by_exclusion():
             assert sorted(negs[name][i]) == sorted(set(range(6)) - {i})
 
 
+def test_draw_negatives_uniform_per_position():
+    # over many seeds, each (anchor, position) slot takes each other batch
+    # index equally often: chi-square with B - 2 = 4 degrees of freedom
+    batch, n_neg, seeds = 6, 3, 3000
+    blocks = [draw_negatives(batch, ["m1", "m2"], n_neg, seed) for seed in range(seeds)]
+    for name in ("m1", "m2"):
+        draws = np.stack([b[name] for b in blocks])  # (seeds, B, N)
+        for i in range(batch):
+            for k in range(n_neg):
+                counts = np.bincount(draws[:, i, k], minlength=batch)
+                assert counts[i] == 0
+                others = np.delete(counts, i)
+                expect = seeds / (batch - 1)
+                chi2 = float(((others - expect) ** 2 / expect).sum())
+                assert chi2 < 23.5, (name, i, k, counts)  # p = 1e-4 at 4 dof
+
+
 def test_draw_negatives_batch_too_small():
     with pytest.raises(ValueError):
         draw_negatives(5, ["m1", "m2"], 5, seed=0)
@@ -266,7 +283,7 @@ def test_final_objective_moe_gradients_match_finite_differences():
     obs["m1"] = 0.2 + 0.6 * obs["m1"]
     cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
     assert finite_difference_check(lambda params: final_objective(model, obs, cfg, seed=5)[0],
-                                   model.params, h=1e-5) < 1e-5
+                                   model.params) < 1e-5
 
 
 def test_moe_objective_scores_own_terms_once_per_row(monkeypatch):
@@ -368,4 +385,4 @@ def test_all_in_batch_negatives(monkeypatch):
     tiny_obs["m1"] = 0.2 + 0.6 * tiny_obs["m1"]
     tiny_cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
     assert finite_difference_check(lambda params: final_objective(tiny, tiny_obs, tiny_cfg, seed=18)[0],
-                                   tiny.params, h=1e-5) < 1e-5
+                                   tiny.params) < 1e-5

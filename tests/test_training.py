@@ -230,6 +230,34 @@ def test_training_runs_deterministically(tmp_path):
     assert a.replace(str(cfg_a.output_dir), "") == b.replace(str(cfg_b.output_dir), "")
 
 
+def test_train_releases_gradients_and_ignores_stale_ones(tmp_path):
+    cfg = tiny_config(tmp_path / "a", steps=3)
+    state = train(cfg, evaluate=False)
+    assert all(p.grad is None for p in state.model.params.values())
+    model = build_model_from_config(cfg)
+    for p in model.params.values():
+        p.grad = np.ones_like(p.value)  # left behind by an earlier backward pass
+    stale = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=cfg.seed)
+    train(replace(cfg, output_dir=str(tmp_path / "b")), state=stale, evaluate=False)
+    for k, p in state.model.params.items():
+        assert np.array_equal(stale.model.params[k].value, p.value), k
+
+
+def test_quality_script_smoke(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # the spawned workers import run_cell by module name
+    quality = importlib.import_module("quality")
+    cfg = tiny_config(tmp_path, steps=2)
+    cells = quality.measure(cfg, cfg)
+    assert sorted(cells) == ["data/baseline/p10", "data/baseline/p100", "data/cC/p10", "data/cC/p100",
+                             "data/cI/p10", "data/cI/p100", "propagate/baseline/p10", "propagate/cI/p10"]
+    assert {"f1", "precision", "recall"} <= set(cells["propagate/cI/p10"])
+    for metrics in cells.values():
+        assert {"pmi_gap", "joint_coh", "cross_coh_12", "cross_coh_21", "latent_acc_m1",
+                "latent_acc_m2", "heldout_iwae"} <= set(metrics)
+        assert all(len(m["values"]) == len(quality.SEEDS) for m in metrics.values())
+    assert not os.listdir(tmp_path)  # runs write only to scratch directories
+
+
 def test_checkpoint_restore_equals_uninterrupted(tmp_path):
     # train 8 == train 4, checkpoint, restore, 4 more (bit-identical)
     cfg_full = tiny_config(tmp_path / "full", steps=8)
