@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A/B benchmark of two checkouts on one workload, in alternating pairs of untraced runs.
 
-    python3 scripts/bench_ab.py --parent DIR --change DIR --workload W --seeds 0-9 [--json PATH]
+    python3 scripts/bench_ab.py --parent DIR --change DIR --workload W --seeds 0-9 \
+        [--json PATH] [--claim METRIC]
 
 For each seed, both trees run `perfbench/run.py --workload W --seed N
 --trace 0` from their own root, one after the other: the parent first in
@@ -15,16 +16,18 @@ medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
 beside the parent's interquartile range, and a no-regression verdict
 against the metric's relative `bound` (see `verdict`); it names every run
-that reported `failed` > 0.  `--json PATH` writes the same summary, with
-each pair's values, under the workload's name in the JSON object at PATH,
-keeping what the file holds for other workloads.  This file imports no
-numpy.
+that reported `failed` > 0.  `--claim METRIC` adds the verdict on a
+claimed gain in METRIC ("claim met" or "claim not met", see `claim`).
+`--json PATH` writes the same summary, with each pair's values and any
+claim, under the workload's name in the JSON object at PATH, keeping what
+the file holds for other workloads.  This file imports no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -76,12 +79,29 @@ def verdict(par: list[float], chg: list[float], direction: str, bound: float) ->
     return "unresolved" if q3 - q1 > bound * abs(mp) else "within bound"
 
 
+def claim(metric: dict, pairs: int) -> dict:
+    """Verdict on a claimed gain from one metric's summary over `pairs` pairs.
+
+    The claim is met when the change wins at least nine tenths of all
+    pairs (a tie is a win for neither side) and its median is better than
+    the parent's by more than the parent's interquartile range.
+    """
+    sign = 1 if metric["better"] == "higher" else -1
+    needed = math.ceil(9 * pairs / 10)
+    by_wins = metric["wins"] >= needed
+    by_spread = sign * metric["median_gap"] > metric["parent_iqr"]
+    return {"met": by_wins and by_spread, "wins": metric["wins"], "wins_needed": needed,
+            "median_gap": metric["median_gap"], "parent_iqr": metric["parent_iqr"],
+            "gap_beyond_iqr": by_spread}
+
+
 def summary(pairs: list[tuple[str, str]], better: dict[str, str],
-            bounds: dict[str, float] | None = None) -> dict:
+            bounds: dict[str, float] | None = None, claimed: str | None = None) -> dict:
     """Per-metric statistics of (parent, change) result lines.
 
     `better` maps metric -> 'higher'/'lower'; a metric named in `bounds`
-    also gets its bound and verdict.
+    also gets its bound and verdict, and the metric `claimed` a "claim"
+    entry (see `claim`).
     """
     results = [(json.loads(p), json.loads(c)) for p, c in pairs]
     metrics = {}
@@ -102,6 +122,8 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
             "median_gap": mc - mp, "parent_iqr": p3 - p1}
         if bounds and name in bounds:
             metrics[name].update(bound=bounds[name], verdict=verdict(par, chg, direction, bounds[name]))
+        if name == claimed:
+            metrics[name]["claim"] = claim(metrics[name], len(results))
     failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
               for i, (p, c) in enumerate(results)
               for tree, r in (("parent", p), ("change", c)) if r["failed"] > 0]
@@ -109,9 +131,9 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
 
 
 def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> list[str]:
+              bounds: dict[str, float] | None = None, claimed: str | None = None) -> list[str]:
     """Report lines for (parent, change) result lines; the arguments are summary's."""
-    s = summary(pairs, better, bounds)
+    s = summary(pairs, better, bounds, claimed)
     n = s["pairs"]
     lines = [f"{n} pairs, change/parent"]
     for name, m in s["metrics"].items():
@@ -126,6 +148,12 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
         lines.append("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
         if "verdict" in m:
             lines.append(f"  verdict: {m['verdict']} (bound {m['bound']:g})")
+        if "claim" in m:
+            c = m["claim"]
+            lines.append(f"  claim {'met' if c['met'] else 'not met'}: change wins {c['wins']}/{n}"
+                         f" (needs {c['wins_needed']}), median gap {c['median_gap']:.6g}"
+                         f" {'beyond' if c['gap_beyond_iqr'] else 'inside'} parent IQR"
+                         f" {c['parent_iqr']:.6g}")
     for f in s["failed_runs"]:
         lines.append(f"FAILED: pair {f['pair']}, {f['tree']}: {f['failed']} of {f['attempted']} "
                      "calls and checks")
@@ -154,11 +182,15 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also write the summary, with every pair's values, under the "
                              "workload's key of the JSON object at PATH")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="also report whether the change's gain in METRIC meets the claim rule")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric of {sorted(better)}")
     trees = {"parent": args.parent, "change": args.change}
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -168,9 +200,10 @@ def main(argv=None) -> int:
             line[label] = run_tree(trees[label], args.workload, seed)
             print(f"seed {seed} {label}: {line[label]}", file=sys.stderr, flush=True)
         pairs.append((line["parent"], line["change"]))
-    print("\n".join(summarize(pairs, better, bounds)))
+    print("\n".join(summarize(pairs, better, bounds, args.claim)))
     if args.json:
-        write_json(args.json, args.workload, parse_seeds(args.seeds), summary(pairs, better, bounds))
+        write_json(args.json, args.workload, parse_seeds(args.seeds),
+                   summary(pairs, better, bounds, args.claim))
     return 0
 
 

@@ -8,7 +8,10 @@ truncated, not a checkpoint, or saved for a different model).  Codes 2-4
 print one line to stderr.  A config error is reported before any file is
 written: a config or sweep value RunConfig rejects (such as a gamma not
 finite and >= 1), a non-numeric list entry, sweep-gamma on a baseline
-config, or a run that cannot start (see training.check_config).
+config, a run that cannot start (see training.check_config), a dataset,
+propagation split or held-out set that its item counts cannot build (such
+as a --pretrain-percent too small to cover every class, or eval_items
+below the class count), or oracle-check --items below 2.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ def _json_safe(obj):
 
 def _cmd_oracle_check(args) -> int:
     """Sandwich / tightness / monotonicity checks on the analytic testbed."""
+    if args.items < 2:  # a paired standard error needs two items
+        raise ConfigError(f"--items must be at least 2, got {args.items}")
     oracle = evaluation.make_oracle(obs_dims=(2, 2), latent_dim=1, noise_var=1.0,
                                     loading_scale=2.0, seed=args.seed)
     pairs = oracle.sample_pairs(args.items, args.seed + 1)

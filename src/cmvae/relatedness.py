@@ -9,11 +9,26 @@ share one draw block per modality row.  A threshold fitted on a small
 mixed set with known relatedness then flags related pairs in the
 unlabeled remainder; the flagged pairs rejoin the training set for a
 continuation run.
+
+A scoring pass runs in fixed chunks of pairs (`map_chunks`).  A long one
+deals its chunks into contiguous shares, one per usable CPU, and scores
+every share but the first in a forked worker process while the caller
+scores the first.  Each chunk holds the same rows for any number of
+shares, so the scores are the same bits whichever process computed them.
+Workers are forked, so they exist only on Linux; elsewhere, and in a
+process that runs other threads (fork copies only the calling one), a
+pass runs in one share in the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +44,16 @@ THRESHOLD_RULES = ("max-f1", "max-accuracy")
 # 1 MB per hidden layer; they die with the chunk and the next one reuses
 # them from the heap.  Larger ones can cross glibc's dynamic mmap
 # threshold, which earlier work in the process sets, and then every chunk
-# maps and faults them in afresh.
+# maps and faults them in afresh.  A chunk is also the unit a pass deals
+# to worker processes (`map_chunks`); its rows, and so its scores' bits,
+# do not depend on the number of workers.
 CHUNK_PAIRS = 64
+
+# Chunks a share needs to pay for its worker.  Starting a forked worker
+# and collecting its values took 8-10 ms on a 2-core host, about one
+# 64-pair chunk at K=30, so a worker costs at most a fifth of its share.
+# A 256-pair pass (4 chunks) stays in the caller.
+SHARE_MIN_CHUNKS = 5
 
 
 @dataclass(frozen=True)
@@ -93,23 +116,82 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
     return joint.value - mx - my
 
 
+def share_count(num_chunks: int, cpus: int) -> int:
+    """Shares of a pass of `num_chunks` chunks on `cpus` CPUs: one per CPU,
+    while each share keeps at least SHARE_MIN_CHUNKS chunks."""
+    return max(1, min(cpus, num_chunks // SHARE_MIN_CHUNKS))
+
+
+def _usable_cpus() -> int:
+    if not sys.platform.startswith("linux") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def map_chunks(fn, n: int, chunk: int = CHUNK_PAIRS) -> np.ndarray:
+    """The f64 values fn(start, stop) for rows start..stop-1 of every chunk of range(n), in order.
+
+    The chunks are dealt into `share_count` contiguous shares.  Shares
+    after the first run in forked worker processes, which inherit `fn`
+    and return their values; the caller runs the first share meanwhile.
+    A chunk that raises in a worker raises the same exception type here,
+    and every worker has exited when this returns or raises.
+    """
+    out = np.empty(n, dtype=np.float64)
+    num_chunks = -(-n // chunk)
+    shares = share_count(num_chunks, _usable_cpus())
+    edges = [chunk * (num_chunks * i // shares) for i in range(shares)] + [n]
+    pool = None
+    if shares > 1:
+        pool = ProcessPoolExecutor(shares - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_install_share_fn, initargs=(fn, chunk))
+    with pool or contextlib.nullcontext():
+        futures = [(lo, hi, pool.submit(_run_share, lo, hi)) for lo, hi in zip(edges[1:-1], edges[2:])]
+        _fill(fn, chunk, 0, edges[1], out)
+        for lo, hi, future in futures:
+            out[lo:hi] = future.result()
+    return out
+
+
+def _fill(fn, chunk: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Write fn's values for rows lo..hi-1 into out[:hi - lo], chunk by chunk."""
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        out[start - lo:stop - lo] = fn(start, stop)
+    return out
+
+
+_share_fn = None  # (fn, chunk), set in each forked worker by its initializer
+
+
+def _install_share_fn(fn, chunk: int) -> None:
+    global _share_fn
+    _share_fn = (fn, chunk)
+
+
+def _run_share(lo: int, hi: int) -> np.ndarray:
+    fn, chunk = _share_fn
+    return _fill(fn, chunk, lo, hi, np.empty(hi - lo, dtype=np.float64))
+
+
 def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
                   chunk: int = CHUNK_PAIRS) -> np.ndarray:
     """PMI for every pair in the dataset, evaluated in fixed-size chunks.
 
     A trained model is scored through its frozen view, so each chunk's
     temporaries are freed as they die.  A pair's score does not depend on
-    the chunk size up to BLAS rounding.
+    the chunk size up to BLAS rounding, nor on the number of worker
+    processes (`map_chunks`) at all.
     """
     if isinstance(model, MultimodalModel):
         model = model.frozen()
     names = list(ds.spec.modality_names)
-    out = np.empty(len(ds), dtype=np.float64)
-    for start in range(0, len(ds), chunk):
-        rows = np.arange(start, min(start + chunk, len(ds)))
-        obs = ds.pair_observations(rows)
-        out[rows] = pmi(model, obs[names[0]], obs[names[1]], num_samples, seed)
-    return out
+
+    def score(start, stop):
+        obs = ds.pair_observations(np.arange(start, stop))
+        return pmi(model, obs[names[0]], obs[names[1]], num_samples, seed)
+
+    return map_chunks(score, len(ds), chunk)
 
 
 def estimate_threshold(scores: np.ndarray, truth: np.ndarray, rule: str = "max-f1") -> float:

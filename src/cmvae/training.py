@@ -295,12 +295,18 @@ class HeldOut:
 
 
 def heldout_sets(cfg: RunConfig) -> HeldOut:
-    """Build a run's held-out sets; its evaluations share them, so every array is read-only."""
+    """Build a run's held-out sets; its evaluations share them, so every array is read-only.
+
+    Raises ConfigError when `cfg.eval_items` items cannot make them.
+    """
     f, n, seed = cfg.dataset.factors, cfg.eval_items, cfg.dataset.seed + 7919
-    x = generate_unimodal(f, n, f.modality_names[0], seed)
-    y = generate_unimodal(f, n, f.modality_names[1], seed + 1)
-    out = HeldOut(related=pair_related(f, x, y, pairs_per_instance=1, seed=seed),
-                  mixed=pair_random(f, x, y, seed=seed + 2),
+    try:
+        x = generate_unimodal(f, n, f.modality_names[0], seed)
+        y = generate_unimodal(f, n, f.modality_names[1], seed + 1)
+        related = pair_related(f, x, y, pairs_per_instance=1, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"run {cfg.run_id!r}: no held-out sets from eval_items {n}: {exc}") from exc
+    out = HeldOut(related=related, mixed=pair_random(f, x, y, seed=seed + 2),
                   oracles=evaluation.oracle_classifiers(f))
     arrays = [o for c in out.oracles.values() for o in (c.class_means, c.precision)]
     for ds in (out.related, out.mixed):
@@ -467,10 +473,12 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
     names = list(related.spec.modality_names)
     obs = related.pair_observations()
     x, y = obs[names[0]], obs[names[1]]
-    frozen, step = model.frozen(), relatedness.CHUNK_PAIRS
-    vals = [iwae(frozen, x[i:i + step], y[i:i + step], num_samples, cfg.seed + 13).value
-            for i in range(0, len(x), step)]
-    return float(np.concatenate(vals).mean())
+    frozen = model.frozen()
+
+    def score(start, stop):
+        return iwae(frozen, x[start:stop], y[start:stop], num_samples, cfg.seed + 13).value
+
+    return float(relatedness.map_chunks(score, len(x)).mean())
 
 
 # -- experiment drivers -----------------------------------------------------------------------
@@ -506,7 +514,8 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
 def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:
     """Train each (key values, config) run from scratch, then write one metrics row per run.
 
-    Every run's config and dataset are built and checked before the first file is written.
+    Every run's config, dataset and held-out sets are built and checked before the first
+    file is written.
     """
     try:
         runs = [(key_values, rcfg, build_dataset(rcfg)) for key_values, rcfg in runs]
@@ -514,15 +523,15 @@ def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[
         raise ConfigError(str(exc)) from exc
     for _, rcfg, ds in runs:
         check_config(rcfg, len(ds))
+    runs = [(key_values, rcfg, ds, heldout_sets(rcfg)) for key_values, rcfg, ds in runs]
     columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
     rows = []
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(SWEEP_SCHEMA + "\n")
         fh.write(csv_line(columns))
-        for key_values, rcfg, ds in runs:
+        for key_values, rcfg, ds, sets in runs:
             state = train(rcfg, dataset=ds, evaluate=False)
-            sets = heldout_sets(rcfg)
             row = evaluate_model(state.model, rcfg, state.step, sets)
             row.update(key_values)
             if heldout:
@@ -537,14 +546,18 @@ def run_pipeline(cfg: RunConfig, pcfg: relatedness.PropagationConfig) -> tuple[r
     continue training on the union, and report before/after metrics."""
     stage = "carve"
     try:
-        full_related = build_dataset(replace(cfg, dataset=replace(cfg.dataset, percent=100.0)))
-        small_related, small_mixed, full_mixed = relatedness.carve_pipeline_datasets(
-            full_related, pcfg.pretrain_percent, seed=cfg.seed)
+        try:
+            full_related = build_dataset(replace(cfg, dataset=replace(cfg.dataset, percent=100.0)))
+            small_related, small_mixed, full_mixed = relatedness.carve_pipeline_datasets(
+                full_related, pcfg.pretrain_percent, seed=cfg.seed)
+        except ValueError as exc:
+            raise ConfigError(f"run {cfg.run_id!r} at pretrain_percent {pcfg.pretrain_percent:g}: "
+                              f"{exc}") from exc
         check_config(cfg, len(small_related), pcfg.pmi_num_samples)
+        heldout = heldout_sets(cfg)
 
         stage = "pretrain"
         state = train(cfg, dataset=small_related, evaluate=False)
-        heldout = heldout_sets(cfg)
         before = evaluate_model(state.model, cfg, state.step, heldout)
 
         if pcfg.pretrain_percent >= 100.0 or len(full_mixed) == 0:

@@ -95,3 +95,38 @@ def test_verdict_against_the_bound():
                            {"heldout_iwae_nll": "lower"}, {"heldout_iwae_nll": 0.2})
     assert nll["metrics"]["heldout_iwae_nll"]["verdict"] == "worse beyond bound"
     assert nll["metrics"]["heldout_iwae_nll"]["bound"] == 0.2
+
+
+def claim_of(parent_values, change_values, better="lower", metric="pipeline_s"):
+    pairs = [(json.dumps({"failed": 0, "metrics": {metric: {"value": p, "unit": "u"}}}),
+              json.dumps({"failed": 0, "metrics": {metric: {"value": c, "unit": "u"}}}))
+             for p, c in zip(parent_values, change_values)]
+    lines = bench_ab.summarize(pairs, {metric: better}, claimed=metric)
+    return bench_ab.summary(pairs, {metric: better}, claimed=metric)["metrics"][metric]["claim"], lines
+
+
+def test_claim_met_needs_nine_tenths_of_the_wins_and_a_gap_beyond_the_parent_iqr():
+    parent = [0.90, 0.91, 0.92, 0.93, 0.94, 0.92, 0.91, 0.93, 0.92, 0.92]
+    change = [0.62, 0.63, 0.64, 0.61, 0.63, 0.95, 0.62, 0.64, 0.63, 0.62]  # one loss in ten
+    c, lines = claim_of(parent, change)
+    assert c["met"] and (c["wins"], c["wins_needed"]) == (9, 9) and c["gap_beyond_iqr"]
+    assert any(line.startswith("  claim met: change wins 9/10 (needs 9)") for line in lines)
+
+
+def test_claim_not_met_on_wins():
+    parent = [0.90, 0.91, 0.92, 0.93, 0.94, 0.92, 0.91, 0.93, 0.92, 0.92]
+    change = [0.62, 0.63, 0.64, 0.61, 0.95, 0.95, 0.62, 0.64, 0.63, 0.92]  # 7 wins, 1 tie
+    c, lines = claim_of(parent, change)
+    assert not c["met"] and c["wins"] == 7 and c["gap_beyond_iqr"]
+    assert any(line.startswith("  claim not met: change wins 7/10 (needs 9)") for line in lines)
+
+
+def test_claim_not_met_inside_the_parent_spread():
+    # a score_pairs_per_s rise of 10419 -> 11264 (+8%) that stays inside the parent's IQR
+    parent = [9000.0, 9500.0, 10000.0, 10300.0, 10400.0, 10438.0, 10600.0, 11500.0, 12000.0, 12500.0]
+    change = [9100.0, 9600.0, 10200.0, 11200.0, 11250.0, 11278.0, 11300.0, 11600.0, 12100.0, 12600.0]
+    c, lines = claim_of(parent, change, better="higher", metric="score_pairs_per_s")
+    assert c["wins"] == 10 and c["median_gap"] == 11264.0 - 10419.0
+    assert not c["met"] and not c["gap_beyond_iqr"] and c["parent_iqr"] > c["median_gap"]
+    assert any(line.startswith("  claim not met: change wins 10/10 (needs 9), median gap 845 inside")
+               for line in lines)

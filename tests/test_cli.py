@@ -283,3 +283,45 @@ def test_train_unbuildable_dataset_exits_2_before_writing(tmp_path, capsys, fiel
     err = capsys.readouterr().err
     assert err.startswith("config error:") and word in err and err.count("\n") == 1, err
     assert not os.path.exists(cfg.output_dir)
+
+
+@pytest.mark.parametrize("argv,eval_items,word", [
+    (["propagate", "--pretrain-percent", "0.01"], 24, "subset of 0 items"),
+    (["propagate", "--pretrain-percent", "30"], 0, "eval_items 0"),
+    (["sweep-gamma", "--gammas", "2"], 0, "eval_items 0"),
+])
+def test_unbuildable_split_or_heldout_exits_2_before_writing(tmp_path, capsys, argv, eval_items, word):
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["eval_items"] = eval_items
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)
+
+
+def test_eval_without_heldout_sets_exits_2(tmp_path, capsys):
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    assert main(["train", "--config", path]) == 0
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["eval_items"] = 0
+    bad = str(tmp_path / "no_heldout.json")
+    with open(bad, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", os.path.join(cfg.output_dir, "t.ckpt"), "--config", bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "eval_items 0" in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("items", [1, 0, -3])
+def test_oracle_check_with_fewer_than_two_items_exits_2(capsys, items):
+    assert main(["oracle-check", "--items", str(items)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: --items must be at least 2, got {items}\n"

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +13,13 @@ from cmvae.bounds import (bound_from_log_weights, iwae, joint_log_weights, mixtu
                           unimodal_draws, unimodal_marginal)
 from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle
+from cmvae import relatedness
 from cmvae.models import ModalitySpec, MultimodalModel, build_model
 from cmvae.relatedness import (
     PropagationConfig,
     carve_pipeline_datasets,
     estimate_threshold,
+    map_chunks,
     merge_predicted,
     pmi,
     precision_recall_f1,
@@ -149,6 +154,78 @@ def test_score_dataset_chunk_size_moves_scores_at_most_by_blas_rounding(obs_dims
     for chunk in (7, 64):
         np.testing.assert_allclose(score_dataset(model, mixed, 6, seed=4, chunk=chunk), scores,
                                    rtol=rtol, atol=0, err_msg=f"chunk {chunk}")
+
+
+forked_workers = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                    reason="scoring workers are forked on Linux only")
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def pid_rows(start, stop):
+    """Each row's value is the id of the process that computed it."""
+    return np.full(stop - start, float(os.getpid()))
+
+
+@forked_workers
+@pytest.mark.parametrize("joint_kind", ["moe", "poe"])
+def test_score_dataset_same_bits_for_any_worker_count(monkeypatch, joint_kind):
+    spec = FactorSpec(num_classes=3, obs_dims=(5, 4), private_dims=(1, 1),
+                      likelihoods=("bernoulli", "gaussian"))
+    # 115 pairs in chunks of 7 make 17 chunks, dealt 5/6/6 to three shares;
+    # the last chunk has 3 rows, so no chunk is a one-row product
+    mixed = pair_random(spec, generate_unimodal(spec, 115, "m1", 1),
+                        generate_unimodal(spec, 115, "m2", 2), seed=3)
+    model = perturbed_model(spec.likelihoods, joint_kind)
+    scores = {}
+    for cpus in (1, 2, 3):
+        usable_cpus(monkeypatch, cpus)
+        assert relatedness.share_count(17, cpus) == cpus
+        scores[cpus] = score_dataset(model, mixed, 6, seed=4, chunk=7)
+    assert np.array_equal(scores[2], scores[1]) and np.array_equal(scores[3], scores[1])
+    assert multiprocessing.active_children() == []
+
+
+@forked_workers
+def test_map_chunks_deals_contiguous_shares_and_starts_no_worker_below_the_minimum(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    pids = map_chunks(pid_rows, 10 * 64 + 5)  # 11 chunks: the caller's 5, then a worker's 6
+    assert (pids[:5 * 64] == os.getpid()).all()
+    assert len(set(pids[5 * 64:])) == 1 and pids[-1] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(relatedness, "ProcessPoolExecutor", no_pool)
+    chunks = 2 * relatedness.SHARE_MIN_CHUNKS - 1  # one chunk short of two shares
+    assert (map_chunks(pid_rows, chunks * 64) == os.getpid()).all()
+    assert map_chunks(pid_rows, 0).shape == (0,)
+
+
+@forked_workers
+def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    # the model reads 5 columns of m1; these observations have 6
+    spec = FactorSpec(num_classes=3, obs_dims=(6, 4), private_dims=(1, 1),
+                      likelihoods=("bernoulli", "gaussian"))
+    mixed = pair_random(spec, generate_unimodal(spec, 640, "m1", 1),
+                        generate_unimodal(spec, 640, "m2", 2), seed=3)
+    with pytest.raises(ValueError):
+        score_dataset(perturbed_model(spec.likelihoods), mixed, 6, seed=4)
+    assert multiprocessing.active_children() == []
+
+    def fails_in_the_worker(start, stop):
+        if start >= 5 * 64:
+            raise ZeroDivisionError(f"chunk at row {start}")
+        return np.zeros(stop - start)
+
+    with pytest.raises(ZeroDivisionError, match="chunk at row 320"):
+        map_chunks(fails_in_the_worker, 10 * 64)
+    assert multiprocessing.active_children() == []
 
 
 def test_fresh_moe_with_zeroed_decoders_scores_zero_pmi():
