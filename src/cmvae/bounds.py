@@ -47,7 +47,7 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     under relabeling of the modality list.
     """
     obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
-    if pairs is not None and getattr(model, "joint_kind", None) == "moe":
+    if pairs is not None and model.joint_kind == "moe":
         per = num_samples // len(model.modalities)  # mixture_joint_log_weights checks the split
         draws = {m.name: unimodal_draws(model, m.name, obs[m.name], per, seed) for m in model.modalities}
         return mixture_joint_log_weights(model, obs, draws, num_samples, pairs)

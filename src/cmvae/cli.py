@@ -7,11 +7,12 @@ overrides the config seed.  Exit codes: 0 success, 1 a failed oracle-check,
 truncated, not a checkpoint, or saved for a different model).  Codes 2-4
 print one line to stderr.  A config error is reported before any file is
 written: a config or sweep value RunConfig rejects (such as a gamma not
-finite and >= 1), a non-numeric list entry, sweep-gamma on a baseline
-config, a run that cannot start (see training.check_config), a dataset,
-propagation split or held-out set that its item counts cannot build (such
-as a --pretrain-percent too small to cover every class, or eval_items
-below the class count), or oracle-check --items below 2.
+finite and >= 1, or an obs_dim below num_classes), a non-numeric list
+entry, sweep-gamma on a baseline config, a run that cannot start (see
+training.check_config), a dataset, propagation split or held-out set that
+its item counts cannot build (such as a --pretrain-percent too small to
+cover every class, or eval_items below the class count), or oracle-check
+--items below 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bounds, evaluation, relatedness, training
+from . import bounds, evaluation, objective, relatedness, training
 from .training import ConfigError
 
 EXIT_OK = 0
@@ -71,8 +72,7 @@ def _cmd_eval(args) -> int:
     except ValueError as exc:  # the reader's messages name the path
         raise CheckpointError(str(exc)) from exc
     row = training.evaluate_model(state.model, cfg, state.step)
-    print(json.dumps({k: (None if isinstance(v, float) and math.isnan(v) else v)
-                      for k, v in row.items()}, indent=2, sort_keys=True))
+    print(json.dumps(_json_safe(row), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="PMI label propagation pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--pretrain-percent", type=float, default=10.0)
-    p.add_argument("--variant", default="cI", choices=("baseline", "cI", "cC"))
+    p.add_argument("--variant", default="cI", choices=objective.VARIANTS)
     p.add_argument("--pmi-samples", type=int, default=30)
     p.add_argument("--threshold-rule", default="max-f1", choices=relatedness.THRESHOLD_RULES)
     p.add_argument("--no-continue", action="store_true")

@@ -21,11 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import LIKELIHOODS
 from .seeding import derive_rng, tag
-
-
-class DegenerateMapError(RuntimeError):
-    """Mixing map stayed rank-deficient on the shared-factor block."""
 
 
 @dataclass(frozen=True)
@@ -41,34 +38,31 @@ class FactorSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        n = len(self.modality_names)
-        if not (len(self.obs_dims) == len(self.private_dims) == len(self.likelihoods) == n):
+        if len(set(self.modality_names)) != 2:
+            raise ValueError(f"need two distinct modality names, got {self.modality_names!r}")
+        if not (len(self.obs_dims) == len(self.private_dims) == len(self.likelihoods) == 2):
             raise ValueError("per-modality fields must have equal lengths")
+        if min(self.obs_dims) < self.num_classes:  # the shared map must have full rank
+            raise ValueError(f"obs_dims {self.obs_dims!r} must be >= num_classes {self.num_classes}")
+        if not set(self.likelihoods) <= set(LIKELIHOODS):
+            raise ValueError(f"likelihoods must be among {LIKELIHOODS}, got {self.likelihoods!r}")
 
     def modality_index(self, name: str) -> int:
         return self.modality_names.index(name)
 
 
 def mixing_maps(spec: FactorSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-modality (shared, private) mixing maps, full rank on the shared block.
+    """Per-modality (shared, private) mixing maps, deterministic in spec.map_seed.
 
-    Deterministic in spec.map_seed; retries with successor seeds on rank
-    deficiency and gives up after 5 attempts.
+    Each shared map is a Gaussian (obs_dim, num_classes) matrix with
+    obs_dim >= num_classes (FactorSpec), so it has full rank almost surely.
     """
     maps = {}
     for m, name in enumerate(spec.modality_names):
         d, p = spec.obs_dims[m], spec.private_dims[m]
-        for attempt in range(5):
-            rng = derive_rng(spec.map_seed + attempt, tag(f"mixing.{name}"))
-            shared = rng.standard_normal((d, spec.num_classes))
-            private = rng.standard_normal((d, p)) if p else np.zeros((d, 0))
-            if np.linalg.matrix_rank(shared) == min(d, spec.num_classes) == spec.num_classes:
-                maps[name] = (shared, private)
-                break
-        else:
-            raise DegenerateMapError(
-                f"no full-rank shared map for modality {name!r} in 5 attempts "
-                f"(obs_dim {d} < num_classes {spec.num_classes}?)")
+        rng = derive_rng(spec.map_seed, tag(f"mixing.{name}"))
+        shared = rng.standard_normal((d, spec.num_classes))
+        maps[name] = (shared, rng.standard_normal((d, p)) if p else np.zeros((d, 0)))
     return maps
 
 
@@ -130,11 +124,7 @@ class PairedDataset:
 
 
 def _relatedness(parts: list[UnimodalData], pairs: np.ndarray) -> np.ndarray:
-    first = parts[0].labels[pairs[:, 0]]
-    match = np.ones(len(pairs), dtype=bool)
-    for m in range(1, len(parts)):
-        match &= parts[m].labels[pairs[:, m]] == first
-    return match.astype(np.uint8)
+    return (parts[0].labels[pairs[:, 0]] == parts[1].labels[pairs[:, 1]]).astype(np.uint8)
 
 
 def _dataset(spec, parts, pairs, ppi, pair_seed) -> PairedDataset:

@@ -4,9 +4,9 @@ the four coherence/accuracy metrics.
 The Bayes classifier is derived in closed form from the synthetic
 generator's mixing maps, so classifier error never confounds coherence
 numbers.  The linear-Gaussian oracle provides exact joint and marginal
-log-likelihoods for sandwich-testing the bound estimators, plus an
-analytic-posterior model that plugs into the same estimator code paths as
-the trained networks.
+log-likelihoods for sandwich-testing the bound estimators, and
+AnalyticLinearModel, a MultimodalModel built on its exact posteriors and
+likelihoods.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .distributions import DiagonalGaussian, sample_per_row
-from .models import ModalitySpec
+from .distributions import DiagonalGaussian
+from .models import ModalitySpec, MultimodalModel
 from .seeding import derive_rng, per_row_normal, tag
 
 
@@ -153,47 +153,38 @@ def _gaussian_logpdf(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return -0.5 * (dim * np.log(2.0 * np.pi) + log_det + np.sum(white * white, axis=1))
 
 
-class AnalyticLinearModel:
-    """Duck-typed model whose encoders are the oracle's exact posteriors.
+class AnalyticLinearModel(MultimodalModel):
+    """A MultimodalModel with the oracle's exact posteriors and likelihoods.
 
     Optional perturbation widens the posterior scale and shifts its mean,
     turning the estimator identities into strict inequalities for the
-    sandwich tests.  The object satisfies the same protocol the estimators
-    use for trained models: modalities / modality / latent_dim /
-    joint_posterior_samples / encode_unimodal / decode / decode_all.
+    sandwich tests.  joint_kind "explicit" uses the exact joint posterior;
+    "poe" and "moe" combine the unimodal posteriors as a trained model
+    does, so the shipped joint-posterior code runs against exact values.
     """
 
-    def __init__(self, oracle: LinearGaussianOracle, scale: float = 1.0, shift: float = 0.0):
+    def __init__(self, oracle: LinearGaussianOracle, scale: float = 1.0, shift: float = 0.0,
+                 joint_kind: str = "explicit"):
+        super().__init__(modalities=[ModalitySpec(name, oracle.loadings[name].shape[0], "gaussian")
+                                     for name in oracle.names],
+                         latent_dim=oracle.latent_dim, joint_kind=joint_kind)
         self.oracle = oracle
         self.scale = scale
         self.shift = shift
-        self.modalities = [ModalitySpec(name, oracle.loadings[name].shape[0], "gaussian")
-                           for name in oracle.names]
-        self.latent_dim = oracle.latent_dim
-
-    def modality(self, name: str) -> ModalitySpec:
-        for m in self.modalities:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
     def _posterior(self, obs_by_name: dict) -> DiagonalGaussian:
         mean, var = self.oracle.posterior(obs_by_name)
-        mean = mean * 1.0 + self.shift
+        mean = mean + self.shift
         log_var = np.broadcast_to(np.log(var * self.scale ** 2), mean.shape)
         return DiagonalGaussian(mean=Tensor.const(mean), log_var=Tensor.const(log_var.copy()))
 
-    def joint_posterior_samples(self, obs_by_modality: dict, num_samples: int, seed: int):
-        obs = {n: np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64))
-               for n in self.oracle.names}
-        q = self._posterior(obs)
-        rows = np.concatenate([obs[n] for n in self.oracle.names], axis=1)
-        noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
-        return sample_per_row(q, noise)
-
     def encode_unimodal(self, name: str, obs) -> DiagonalGaussian:
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         return self._posterior({name: obs})
+
+    def encode_joint(self, obs_by_modality: dict) -> DiagonalGaussian:
+        if self.joint_kind != "explicit":
+            return super().encode_joint(obs_by_modality)
+        return self._posterior({m.name: obs_by_modality[m.name] for m in self.modalities})
 
     def decode(self, name: str, z: Tensor):
         a = self.oracle.loadings[name]
@@ -202,9 +193,6 @@ class AnalyticLinearModel:
         mean = mean.reshape(z.shape[:-1] + (a.shape[0],))
         log_var = Tensor.const(np.full(a.shape[0], np.log(self.oracle.noise_var)))
         return DiagonalGaussian(mean=mean, log_var=log_var)
-
-    def decode_all(self, z: Tensor) -> dict:
-        return {m.name: self.decode(m.name, z) for m in self.modalities}
 
 
 def make_oracle(obs_dims=(2, 2), latent_dim: int = 1, noise_var: float = 1.0,
@@ -256,7 +244,7 @@ def latent_accuracy(model, ds, rows=None, seed: int = 0) -> dict[str, float]:
     names = list(ds.spec.modality_names)
     truth = labels_by[names[0]]
     out = {}
-    if getattr(model, "joint_kind", None) == "moe":
+    if model.joint_kind == "moe":
         for name in names:
             q = model.encode_unimodal(name, obs[name])
             noise = per_row_normal(seed, f"latent_acc.{name}", obs[name], (model.latent_dim,))
@@ -300,7 +288,7 @@ def synergy_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None
     Mixture-posterior models never sample an explicit joint posterior, so
     the quantity is undefined for them.
     """
-    if getattr(model, "joint_kind", None) == "moe":
+    if model.joint_kind == "moe":
         raise UnsupportedMetricError("synergy coherence is undefined for mixture posteriors")
     obs = ds.pair_observations(rows)
     labels_by = ds.pair_labels(rows)

@@ -10,7 +10,8 @@ from a single thread only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +86,9 @@ class MultimodalModel:
         Evaluating through it records no graph, so each intermediate is
         freed as soon as it is used; for passes that only need values.
         """
-        return replace(self, params={k: Tensor.const(p.value) for k, p in self.params.items()})
+        view = copy.copy(self)
+        view.params = {k: Tensor.const(p.value) for k, p in self.params.items()}
+        return view
 
     # -- encoding ----------------------------------------------------------------
 

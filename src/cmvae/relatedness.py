@@ -36,7 +36,6 @@ import numpy as np
 from .bounds import (bound_from_log_weights, iwae, mixture_joint_log_weights, unimodal_draws,
                      unimodal_marginal)
 from .data import PairedDataset, UnimodalData, pair_random, subset
-from .models import MultimodalModel
 
 THRESHOLD_RULES = ("max-f1", "max-accuracy")
 
@@ -106,7 +105,7 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
     if len(names) != 2:
         raise ValueError("pmi scores pairs of a two-modality model")
     obs = dict(zip(names, (x, y)))
-    if getattr(model, "joint_kind", None) == "moe":
+    if model.joint_kind == "moe":
         draws = {n: unimodal_draws(model, n, obs[n], num_samples, seed) for n in names}
         joint = bound_from_log_weights(mixture_joint_log_weights(model, obs, draws, num_samples), "iwae")
     else:
@@ -178,13 +177,12 @@ def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
                   chunk: int = CHUNK_PAIRS) -> np.ndarray:
     """PMI for every pair in the dataset, evaluated in fixed-size chunks.
 
-    A trained model is scored through its frozen view, so each chunk's
+    The model is scored through its frozen view, so each chunk's
     temporaries are freed as they die.  A pair's score does not depend on
     the chunk size up to BLAS rounding, nor on the number of worker
     processes (`map_chunks`) at all.
     """
-    if isinstance(model, MultimodalModel):
-        model = model.frozen()
+    model = model.frozen()
     names = list(ds.spec.modality_names)
 
     def score(start, stop):

@@ -21,7 +21,7 @@ from .autodiff import Tensor, backward, zero_grads
 from .bounds import iwae
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
-from .models import MultimodalModel, ModalitySpec, build_model
+from .models import JOINT_KINDS, MultimodalModel, ModalitySpec, build_model
 from .objective import ObjectiveConfig, final_objective
 from .seeding import derive_rng, tag
 
@@ -47,11 +47,22 @@ class NumericalAbort(RuntimeError):
         self.checkpoint_path = checkpoint_path
 
 
+def _check_at_least(cfg, **lows) -> None:
+    for key, low in lows.items():
+        if getattr(cfg, key) < low:
+            raise ValueError(f"{key} must be >= {low}, got {getattr(cfg, key)!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-3
     steps: int = 5000
     batch_size: int = 64
+
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        _check_at_least(self, steps=0, batch_size=1)
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,11 @@ class ModelConfig:
     num_hidden: int = 2
     init_seed: int = 0
 
+    def __post_init__(self):
+        if self.joint_kind not in JOINT_KINDS:
+            raise ValueError(f"joint_kind must be one of {JOINT_KINDS}, got {self.joint_kind!r}")
+        _check_at_least(self, latent_dim=1, hidden_dim=1, num_hidden=0)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,6 +112,9 @@ class RunConfig:
     eval_every: int = 500
     eval_items: int = 256
     output_dir: str = "runs/run"
+
+    def __post_init__(self):
+        _check_at_least(self, eval_every=0)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

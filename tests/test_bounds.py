@@ -8,6 +8,7 @@ from cmvae.bounds import (
     elbo,
     iwae,
     joint_bound,
+    joint_log_weights,
     unimodal_marginal,
 )
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
@@ -197,3 +198,39 @@ def test_bound_from_log_weights_shapes():
         assert np.allclose(out.value, 0.0)
     with pytest.raises(ValueError):
         bound_from_log_weights(log_w, "nope")
+
+
+# -- the shipped mixture posterior against the exact oracle ----------------------------
+
+
+def moe_oracle_pairs(seed, items=400):
+    oracle = make_oracle(obs_dims=(4, 4), latent_dim=2, noise_var=1.0, loading_scale=2.0, seed=seed)
+    pairs = oracle.sample_pairs(items, seed + 1)
+    return oracle, pairs["m1"], pairs["m2"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_moe_sandwich_resolves_against_exact(seed):
+    # The exact unimodal posteriors, perturbed and mixed by
+    # MultimodalModel.joint_posterior_samples: ELBO < IWAE < exact < CUBO,
+    # each paired gap beyond three standard errors.
+    oracle, x, y = moe_oracle_pairs(seed)
+    model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7, joint_kind="moe")
+    exact = oracle.exact_logp(x, y)
+    chain = [elbo(model, x, y, 30, seed).value, iwae(model, x, y, 30, seed).value,
+             exact, cubo(model, x, y, 30, seed).value]
+    for low, high in zip(chain, chain[1:]):
+        diff = high - low
+        assert diff.mean() > 3 * diff.std(ddof=1) / np.sqrt(len(diff))
+
+
+def test_moe_pairs_path_equals_gathered_rows():
+    oracle, x, y = moe_oracle_pairs(0, items=40)
+    model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7, joint_kind="moe")
+    rng = np.random.default_rng(3)
+    pairs = {"m1": rng.integers(0, 40, 90), "m2": rng.integers(0, 40, 90)}  # rows repeat
+    obs = {"m1": x, "m2": y}
+    via_pairs = joint_log_weights(model, obs, 30, 5, pairs=pairs).value
+    direct = joint_log_weights(model, {n: obs[n][rows] for n, rows in pairs.items()}, 30, 5).value
+    assert via_pairs.shape == (90, 30)
+    np.testing.assert_allclose(via_pairs, direct, rtol=0, atol=1e-12)

@@ -208,6 +208,20 @@ def test_oracle_check_passes(capsys):
     assert "[FAIL]" not in out
 
 
+ORACLE_CHECK_STDOUT = """\
+[PASS] exact-posterior tightness (|bound - exact| < 1e-9)
+[PASS] sandwich elbo < iwae (gap 1.6892 > 3*SE 0.1329)
+[PASS] sandwich iwae < exact (gap 0.5593 > 3*SE 0.1566)
+[PASS] sandwich exact < cubo (gap 0.3619 > 3*SE 0.2078)
+[PASS] iwae monotone over K=1,5,30 (-9.0240 <= -7.9087 <= -7.3361)
+"""
+
+
+def test_oracle_check_default_stdout_is_golden(capsys):
+    assert main(["oracle-check"]) == 0
+    assert capsys.readouterr().out == ORACLE_CHECK_STDOUT
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "cmvae.cli", "oracle-check",
                            "--items", "50"], capture_output=True, text=True)
@@ -325,3 +339,48 @@ def test_oracle_check_with_fewer_than_two_items_exits_2(capsys, items):
     assert main(["oracle-check", "--items", str(items)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"config error: --items must be at least 2, got {items}\n"
+
+
+# case: (edits merged into the tiny config, a word the error names)
+BAD_CONFIG_FIELD = {
+    "joint-kind": ({"model": {"joint_kind": "bogus"}}, "joint_kind"),
+    "likelihood": ({"dataset": {"factors": {"likelihoods": ["foo", "gaussian"]}}}, "likelihoods"),
+    "single-modality": ({"dataset": {"factors": {"modality_names": ["m1"], "obs_dims": [6],
+                                                 "private_dims": [1], "likelihoods": ["gaussian"]}}},
+                        "modality names"),
+    "latent-dim-0": ({"model": {"latent_dim": 0}}, "latent_dim"),
+    "hidden-dim-0": ({"model": {"hidden_dim": 0}}, "hidden_dim"),
+    "num-hidden-negative": ({"model": {"num_hidden": -1}}, "num_hidden"),
+    "obs-dim-0": ({"dataset": {"factors": {"obs_dims": [0, 6]}}}, "obs_dims"),
+    "obs-dim-below-classes": ({"dataset": {"factors": {"obs_dims": [6, 2]}}}, "obs_dims"),
+    "steps-negative": ({"optimizer": {"steps": -3}}, "steps"),
+    "batch-size-0-baseline": ({"optimizer": {"batch_size": 0}, "objective": {"variant": "baseline"}},
+                              "batch_size"),
+    "learning-rate-nan": ({"optimizer": {"learning_rate": float("nan")}}, "learning_rate"),  # JSON NaN
+    "learning-rate-0": ({"optimizer": {"learning_rate": 0.0}}, "learning_rate"),
+    "eval-every-negative": ({"eval_every": -1}, "eval_every"),
+}
+
+
+def _merge(raw: dict, edits: dict) -> None:
+    for key, value in edits.items():
+        if isinstance(value, dict):
+            _merge(raw[key], value)
+        else:
+            raw[key] = value
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FIELD))
+def test_bad_config_field_exits_2_before_writing(tmp_path, capsys, case):
+    edits, word = BAD_CONFIG_FIELD[case]
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    _merge(raw, edits)
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config") and word in err and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)

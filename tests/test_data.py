@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvae.data import (
-    DegenerateMapError,
     FactorSpec,
     UnimodalData,
     generate_unimodal,
@@ -39,10 +38,13 @@ def test_mixing_maps_rank_and_determinism():
         assert np.array_equal(shared, again[name][0])
 
 
-def test_mixing_maps_degenerate_errors_after_retries():
-    bad = FactorSpec(num_classes=5, obs_dims=(3, 3), private_dims=(0, 0))
-    with pytest.raises(DegenerateMapError):
-        mixing_maps(bad)
+def test_spec_rejects_obs_dim_below_num_classes():
+    # A shared map narrower than the class count cannot have full rank.
+    with pytest.raises(ValueError, match="must be >= num_classes 5"):
+        FactorSpec(num_classes=5, obs_dims=(3, 3), private_dims=(0, 0))
+    with pytest.raises(ValueError, match="must be >= num_classes 5"):
+        FactorSpec(num_classes=5, obs_dims=(16, 4))
+    FactorSpec(num_classes=5, obs_dims=(5, 5))
 
 
 def test_generate_balanced_and_deterministic():

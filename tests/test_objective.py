@@ -18,6 +18,8 @@ def toy_model(joint_kind="moe", seed=0, obs_dim=4, m=2):
 class ConstantEstimateModel:
     """Joint-bound stub whose log weights are a fixed constant."""
 
+    joint_kind = "explicit"
+
     def __init__(self, value, obs_dim=4, m=2):
         self.value = value
         self.modalities = [ModalitySpec(f"m{i+1}", obs_dim, "gaussian") for i in range(m)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cmvae.bounds import (bound_from_log_weights, iwae, joint_log_weights, mixture_joint_log_weights,
                           unimodal_draws, unimodal_marginal)
 from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random
-from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle
+from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
 from cmvae import relatedness
 from cmvae.models import ModalitySpec, MultimodalModel, build_model
 from cmvae.relatedness import (
@@ -418,3 +418,35 @@ def test_propagation_config_validation():
         PropagationConfig(pmi_num_samples=0)
     with pytest.raises(ValueError):
         PropagationConfig(threshold_rule="best-guess")
+
+
+def test_pmi_error_against_exact_shrinks_with_k_for_moe_and_vanishes_for_explicit():
+    # Exact unimodal posteriors make both marginal terms exact, so the
+    # error is the joint IWAE's: the mixture proposal's bias falls with K,
+    # and the exact joint posterior has none at any K.
+    oracle = make_oracle(obs_dims=(4, 4), latent_dim=2, noise_var=1.0, loading_scale=2.0, seed=0)
+    pairs = oracle.sample_pairs(400, 1)
+    x, y = pairs["m1"], pairs["m2"]
+    exact = oracle.exact_pmi(x, y)
+    moe = AnalyticLinearModel(oracle, joint_kind="moe")
+    explicit = AnalyticLinearModel(oracle)
+    errors = []
+    for k in (2, 30, 300):
+        errors.append((pmi(moe, x, y, k, seed=0) - exact).mean())
+        assert np.abs(pmi(explicit, x, y, k, seed=0) - exact).max() < 1e-9
+    assert errors[0] < errors[1] < errors[2] < 0
+    assert errors[2] > -0.005
+
+
+@pytest.mark.parametrize("joint_kind", ["explicit", "poe", "moe"])
+def test_score_dataset_of_analytic_model_equals_pmi(joint_kind):
+    spec = FactorSpec(num_classes=2, obs_dims=(2, 2), private_dims=(0, 0))
+    mixed = pair_random(spec, generate_unimodal(spec, 150, "m1", 1),
+                        generate_unimodal(spec, 150, "m2", 2), seed=3)  # three chunks
+    model = AnalyticLinearModel(make_oracle(obs_dims=(2, 2)), scale=0.9, shift=0.3, joint_kind=joint_kind)
+    frozen = model.frozen()
+    assert type(frozen) is AnalyticLinearModel and frozen.joint_kind == joint_kind
+    assert frozen.oracle is model.oracle and (frozen.scale, frozen.shift) == (0.9, 0.3)
+    obs = mixed.pair_observations()
+    np.testing.assert_array_equal(score_dataset(model, mixed, 4, seed=6),
+                                  pmi(model, obs["m1"], obs["m2"], 4, seed=6))
