@@ -7,12 +7,12 @@ overrides the config seed.  Exit codes: 0 success, 1 a failed oracle-check,
 truncated, not a checkpoint, or saved for a different model).  Codes 2-4
 print one line to stderr.  A config error is reported before any file is
 written: a config or sweep value RunConfig rejects (such as a gamma not
-finite and >= 1, or an obs_dim below num_classes), a non-numeric list
-entry, sweep-gamma on a baseline config, a run that cannot start (see
-training.check_config), a dataset, propagation split or held-out set that
-its item counts cannot build (such as a --pretrain-percent too small to
-cover every class, or eval_items below the class count), or oracle-check
---items below 2.
+finite and >= 1, an obs_dim below num_classes, or a joint_kind other than
+"poe" and "moe"), a non-numeric list entry, sweep-gamma on a baseline
+config, a run that cannot start (see training.check_config), a dataset,
+propagation split or held-out set that its item counts cannot build (such
+as a --pretrain-percent too small to cover every class, or eval_items
+below the class count), or oracle-check --items below 2.
 """
 
 from __future__ import annotations

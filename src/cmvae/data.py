@@ -17,6 +17,8 @@ Generation, pairing and subsetting are pure functions of (spec, seed).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,10 @@ class FactorSpec:
     map_seed: int = 0
 
     def __post_init__(self):
+        for key, values in (("num_classes", (self.num_classes,)), ("obs_dims", self.obs_dims),
+                            ("private_dims", self.private_dims)):
+            if not all(isinstance(v, numbers.Integral) for v in values):
+                raise ValueError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if len(set(self.modality_names)) != 2:
@@ -44,8 +50,12 @@ class FactorSpec:
             raise ValueError("per-modality fields must have equal lengths")
         if min(self.obs_dims) < self.num_classes:  # the shared map must have full rank
             raise ValueError(f"obs_dims {self.obs_dims!r} must be >= num_classes {self.num_classes}")
+        if min(self.private_dims) < 0:
+            raise ValueError(f"private_dims {self.private_dims!r} must be >= 0")
         if not set(self.likelihoods) <= set(LIKELIHOODS):
             raise ValueError(f"likelihoods must be among {LIKELIHOODS}, got {self.likelihoods!r}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
 
     def modality_index(self, name: str) -> int:
         return self.modality_names.index(name)

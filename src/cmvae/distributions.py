@@ -193,14 +193,6 @@ def rsample(d: DiagonalGaussian, noise) -> Tensor:
     return d.mean + (0.5 * d.log_var).exp() * eps
 
 
-def sample_per_row(q: DiagonalGaussian, noise) -> tuple[Tensor, Tensor]:
-    """Draw (B, S, L) samples from per-row Gaussians with (B, L) parameters
-    and (B, S, L) noise; returns (z, log q(z)), shapes (B, S, L) and (B, S)."""
-    q = q.per_row()
-    z = q.rsample(noise)
-    return z, q.log_prob(z)
-
-
 def mixture_log_density(log_densities: list[Tensor]) -> Tensor:
     """Equal-weight mixture density log(1/M sum_k q_k), from each component's log q_k."""
     acc = log_densities[0]
@@ -210,25 +202,17 @@ def mixture_log_density(log_densities: list[Tensor]) -> Tensor:
     return acc - float(np.log(len(log_densities)))
 
 
-def gaussian_product(components: list[DiagonalGaussian],
-                     include_standard_prior: bool = False) -> DiagonalGaussian:
+def gaussian_product(components: list[DiagonalGaussian]) -> DiagonalGaussian:
     """Precision-weighted product of diagonal Gaussians.
 
-    lambda = sum_i lambda_i (+1 for the standard prior when requested),
-    mean = sum_i lambda_i mean_i / lambda.  Empty input is only legal with
-    the prior included, in which case the result is the prior itself.
+    lambda = sum_i lambda_i, mean = sum_i lambda_i mean_i / lambda, over
+    exactly the components given; a prior is one more component.
     """
-    if not components and not include_standard_prior:
-        raise ValueError("gaussian_product of no components and no prior")
+    if not components:
+        raise ValueError("gaussian_product of no components")
     precisions = [(-c.log_var).exp() for c in components]
-    total = precisions[0] if precisions else None
-    for lam in precisions[1:]:
+    total, weighted = precisions[0], components[0].mean * precisions[0]
+    for c, lam in zip(components[1:], precisions[1:]):
         total = total + lam
-    if include_standard_prior:
-        total = total + 1.0 if total is not None else Tensor.const(np.ones(1))
-    weighted = None
-    for c, lam in zip(components, precisions):
-        term = c.mean * lam
-        weighted = term if weighted is None else weighted + term
-    mean = weighted / total if weighted is not None else total * 0.0
-    return DiagonalGaussian(mean=mean, log_var=-total.log())
+        weighted = weighted + c.mean * lam
+    return DiagonalGaussian(mean=weighted / total, log_var=-total.log())

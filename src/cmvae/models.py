@@ -1,6 +1,6 @@
-"""Multimodal generative models: per-modality MLP encoders/decoders and the
-three joint-posterior constructions (explicit joint encoder, product of
-experts, mixture of experts).
+"""Multimodal generative models: per-modality MLP encoders/decoders and a
+joint posterior that is a rule over the unimodal encoders, a product of
+experts (MVAE) or a mixture of experts (MMVAE).
 
 Parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint writer can treat the model generically.  Evaluation paths are
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, affine, concat
-from .distributions import (DiagonalGaussian, FactorBernoulli, gaussian_product, mixture_log_density,
-                            sample_per_row)
+from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_product, mixture_log_density
 from .seeding import derive_rng, per_row_normal, tag
 
-JOINT_KINDS = ("explicit", "poe", "moe")
+TRAINED_JOINT_KINDS = ("poe", "moe")
+JOINT_KINDS = ("explicit",) + TRAINED_JOINT_KINDS
 LIKELIHOODS = ("bernoulli", "gaussian")
 GAUSSIAN_LOG_VAR_FLOOR = -6.0
 
@@ -46,9 +46,10 @@ class ModalitySpec:
 class MultimodalModel:
     """Encoders Phi, decoders Theta and the joint-posterior rule.
 
-    joint_kind "explicit" adds a joint encoder over concatenated
-    observations; "poe" multiplies the unimodal posteriors with the
-    standard prior; "moe" mixes them with equal weights.
+    joint_kind "poe" multiplies the unimodal posteriors with the standard
+    prior; "moe" mixes them with equal weights.  "explicit" is for a
+    subclass that overrides encode_joint with its own joint posterior, such
+    as evaluation.AnalyticLinearModel; build_model rejects it.
     """
 
     modalities: list[ModalitySpec]
@@ -92,35 +93,31 @@ class MultimodalModel:
 
     # -- encoding ----------------------------------------------------------------
 
-    def _mlp_gaussian_head(self, prefix: str, x: np.ndarray) -> DiagonalGaussian:
-        h: Tensor | np.ndarray = x
+    def encode_unimodal(self, name: str, obs: np.ndarray) -> DiagonalGaussian:
+        spec = self.modality(name)
+        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        if obs.shape[-1] != spec.obs_dim:
+            raise ValueError(f"modality {name!r} expects dim {spec.obs_dim}, got {obs.shape[-1]}")
+        prefix = f"enc.{name}"
+        h: Tensor | np.ndarray = obs
         for i in range(self.num_hidden):
             h = affine(h, self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"]).tanh()
         mean = affine(h, self.params[f"{prefix}.w_mean"], self.params[f"{prefix}.b_mean"])
         log_var = affine(h, self.params[f"{prefix}.w_lv"], self.params[f"{prefix}.b_lv"])
         return DiagonalGaussian(mean=mean, log_var=log_var)
 
-    def encode_unimodal(self, name: str, obs: np.ndarray) -> DiagonalGaussian:
-        spec = self.modality(name)
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        if obs.shape[-1] != spec.obs_dim:
-            raise ValueError(f"modality {name!r} expects dim {spec.obs_dim}, got {obs.shape[-1]}")
-        return self._mlp_gaussian_head(f"enc.{name}", obs)
-
     def encode_joint(self, obs_by_modality: dict[str, np.ndarray]) -> DiagonalGaussian:
-        """Posterior parameters for explicit-joint and PoE models.
+        """The PoE posterior: the unimodal posteriors times the N(0, I) prior.
 
         MoE has no single Gaussian joint posterior; use
-        joint_posterior_samples instead.
+        joint_posterior_samples instead.  An "explicit" model overrides this.
         """
-        if self.joint_kind == "explicit":
-            xs = [np.atleast_2d(np.asarray(obs_by_modality[m.name], dtype=np.float64))
-                  for m in self.modalities]
-            return self._mlp_gaussian_head("enc.joint", np.concatenate(xs, axis=-1))
-        if self.joint_kind == "poe":
-            comps = [self.encode_unimodal(m.name, obs_by_modality[m.name]) for m in self.modalities]
-            return gaussian_product(comps, include_standard_prior=True)
-        raise ValueError("mixture posterior has no closed Gaussian form")
+        if self.joint_kind != "poe":
+            raise ValueError(f"joint_kind {self.joint_kind!r} has no Gaussian joint posterior "
+                             "here: this model builds only the product of experts")
+        zero = Tensor.const(np.zeros(self.latent_dim))
+        comps = [self.encode_unimodal(m.name, obs_by_modality[m.name]) for m in self.modalities]
+        return gaussian_product(comps + [DiagonalGaussian(mean=zero, log_var=zero)])
 
     # -- joint posterior sampling ---------------------------------------------------
 
@@ -145,7 +142,9 @@ class MultimodalModel:
         if self.joint_kind in ("explicit", "poe"):
             rows = np.concatenate([np.atleast_2d(obs_by_modality[m.name]) for m in self.modalities], axis=1)
             noise = per_row_normal(seed, "joint_posterior", rows, (num_samples, self.latent_dim))
-            return sample_per_row(self.encode_joint(obs_by_modality), noise)
+            q = self.encode_joint(obs_by_modality).per_row()
+            z = q.rsample(noise)
+            return z, q.log_prob(z)
 
         m = self.num_modalities
         if num_samples % m != 0:
@@ -206,7 +205,7 @@ class MultimodalModel:
 
 
 def init_params(modalities: list[ModalitySpec], latent_dim: int, hidden_dim: int,
-                num_hidden: int, joint_kind: str, seed: int) -> dict[str, Tensor]:
+                num_hidden: int, seed: int) -> dict[str, Tensor]:
     """Fresh parameter dict.
 
     Hidden layers get fan-in-scaled random weights.  Encoder mean/log-var
@@ -243,13 +242,14 @@ def init_params(modalities: list[ModalitySpec], latent_dim: int, hidden_dim: int
     for m in modalities:
         encoder(f"enc.{m.name}", m.obs_dim)
         decoder(f"dec.{m.name}", m)
-    if joint_kind == "explicit":
-        encoder("enc.joint", sum(m.obs_dim for m in modalities))
     return params
 
 
 def build_model(modalities: list[ModalitySpec], latent_dim: int = 8, hidden_dim: int = 64,
                 num_hidden: int = 2, joint_kind: str = "moe", seed: int = 0) -> MultimodalModel:
-    params = init_params(modalities, latent_dim, hidden_dim, num_hidden, joint_kind, seed)
+    """A trained model's fresh parameters; its joint posterior is "poe" or "moe"."""
+    if joint_kind not in TRAINED_JOINT_KINDS:
+        raise ValueError(f"joint_kind must be one of {TRAINED_JOINT_KINDS}, got {joint_kind!r}")
+    params = init_params(modalities, latent_dim, hidden_dim, num_hidden, seed)
     return MultimodalModel(modalities=modalities, latent_dim=latent_dim, hidden_dim=hidden_dim,
                            num_hidden=num_hidden, joint_kind=joint_kind, params=params)

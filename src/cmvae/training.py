@@ -21,7 +21,7 @@ from .autodiff import Tensor, backward, zero_grads
 from .bounds import iwae
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
-from .models import JOINT_KINDS, MultimodalModel, ModalitySpec, build_model
+from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model
 from .objective import ObjectiveConfig, final_objective
 from .seeding import derive_rng, tag
 
@@ -76,6 +76,9 @@ class DatasetConfig:
     def __post_init__(self):
         if not 0.0 < self.percent <= 100.0:
             raise ValueError(f"percent must lie in (0, 100], got {self.percent!r}")
+        if self.factors.noise_scale == 0.0:  # FactorSpec allows it: noiseless generation is well defined
+            raise ValueError("noise_scale must be > 0 in a run, whose oracle classifiers invert "
+                             "the noise covariance")
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.joint_kind not in JOINT_KINDS:
-            raise ValueError(f"joint_kind must be one of {JOINT_KINDS}, got {self.joint_kind!r}")
+        if self.joint_kind not in TRAINED_JOINT_KINDS:
+            raise ValueError(f"joint_kind must be one of {TRAINED_JOINT_KINDS}, got {self.joint_kind!r}")
         _check_at_least(self, latent_dim=1, hidden_dim=1, num_hidden=0)
 
 

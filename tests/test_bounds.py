@@ -28,7 +28,7 @@ def oracle_pairs(oracle):
 
 def test_joint_bound_validation():
     mods = [ModalitySpec("m1", 2, "gaussian"), ModalitySpec("m2", 2, "gaussian")]
-    model = build_model(mods, latent_dim=1, hidden_dim=4, joint_kind="explicit", seed=0)
+    model = build_model(mods, latent_dim=1, hidden_dim=4, joint_kind="poe", seed=0)
     obs = {"m1": np.zeros((2, 2)), "m2": np.zeros((2, 2))}
     with pytest.raises(ValueError, match="unknown estimator kind 'evidence'"):
         joint_bound(model, obs, "evidence", 3, seed=0)
@@ -46,11 +46,11 @@ def test_exact_posterior_bounds_are_exact(oracle, oracle_pairs):
 
 
 def test_unit_model_elbo_constant():
-    # joint encoder at init gives q = prior exactly; decoders that ignore z
-    # with unit-Gaussian likelihoods at the origin leave two standard-normal
-    # log-densities and a vanishing KL term
+    # at init both mixture components are N(0, I), so q = prior exactly;
+    # decoders that ignore z with unit-Gaussian likelihoods at the origin
+    # leave two standard-normal log-densities and a vanishing KL term
     mods = [ModalitySpec("m1", 1, "gaussian"), ModalitySpec("m2", 1, "gaussian")]
-    model = build_model(mods, latent_dim=1, hidden_dim=4, joint_kind="explicit", seed=0)
+    model = build_model(mods, latent_dim=1, hidden_dim=4, joint_kind="moe", seed=0)
     for k, p in model.params.items():
         if k.startswith("dec."):
             p.value = np.zeros_like(p.value)

@@ -359,6 +359,14 @@ BAD_CONFIG_FIELD = {
     "learning-rate-nan": ({"optimizer": {"learning_rate": float("nan")}}, "learning_rate"),  # JSON NaN
     "learning-rate-0": ({"optimizer": {"learning_rate": 0.0}}, "learning_rate"),
     "eval-every-negative": ({"eval_every": -1}, "eval_every"),
+    "joint-kind-explicit": ({"model": {"joint_kind": "explicit"}}, "joint_kind"),
+    "noise-scale-nan": ({"dataset": {"factors": {"noise_scale": float("nan")}}}, "noise_scale"),
+    "noise-scale-negative": ({"dataset": {"factors": {"noise_scale": -0.1}}}, "noise_scale"),
+    "noise-scale-0": ({"dataset": {"factors": {"noise_scale": 0.0}}}, "noise_scale"),
+    "private-dim-negative": ({"dataset": {"factors": {"private_dims": [-1, 1]}}}, "private_dims"),
+    "private-dim-fractional": ({"dataset": {"factors": {"private_dims": [1.5, 1]}}}, "private_dims"),
+    "obs-dim-fractional": ({"dataset": {"factors": {"obs_dims": [6.5, 6]}}}, "obs_dims"),
+    "num-classes-fractional": ({"dataset": {"factors": {"num_classes": 3.5}}}, "num_classes"),
 }
 
 

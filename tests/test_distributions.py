@@ -91,7 +91,7 @@ def test_rsample_antithetic_exact_zero_mean(log_var, eps):
 
 
 def test_gaussian_product_closed_form():
-    combined = gaussian_product([gauss(1.0, 0.0), gauss(3.0, 0.0)], include_standard_prior=True)
+    combined = gaussian_product([gauss(1.0, 0.0), gauss(3.0, 0.0), gauss(0.0, 0.0)])
     assert combined.mean.value[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert math.exp(combined.log_var.value[0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -104,7 +104,7 @@ def test_gaussian_product_single_component_identity():
 
 def test_gaussian_product_vague_component_vanishes():
     vague = gauss(1.0, math.log(1e8))
-    combined = gaussian_product([vague], include_standard_prior=True)
+    combined = gaussian_product([vague, gauss(0.0, 0.0)])
     assert combined.mean.value[0] == pytest.approx(0.0, abs=1e-6)
     assert math.exp(combined.log_var.value[0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -118,15 +118,15 @@ def test_gaussian_product_empty_without_prior_errors():
 @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-2, 2)), min_size=2, max_size=4),
        st.booleans())
 def test_gaussian_product_commutative_associative(params, prior):
-    comps = [gauss(m, lv) for m, lv in params]
-    a = gaussian_product(comps, include_standard_prior=prior)
-    b = gaussian_product(list(reversed(comps)), include_standard_prior=prior)
+    comps = [gauss(m, lv) for m, lv in params] + ([gauss(0.0, 0.0)] if prior else [])
+    a = gaussian_product(comps)
+    b = gaussian_product(list(reversed(comps)))
     assert a.mean.value[0] == pytest.approx(b.mean.value[0], abs=1e-12)
     assert a.log_var.value[0] == pytest.approx(b.log_var.value[0], abs=1e-12)
     # associativity via nesting: product(product(first two), rest)
     if len(comps) > 2:
         head = gaussian_product(comps[:2])
-        nested = gaussian_product([head] + comps[2:], include_standard_prior=prior)
+        nested = gaussian_product([head] + comps[2:])
         assert nested.mean.value[0] == pytest.approx(a.mean.value[0], abs=1e-12)
         assert nested.log_var.value[0] == pytest.approx(a.log_var.value[0], abs=1e-12)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cmvae.autodiff import Tensor
-from cmvae.distributions import gaussian_product
+from cmvae.distributions import DiagonalGaussian, gaussian_product
+from cmvae.evaluation import AnalyticLinearModel, make_oracle
 from cmvae.models import ModalitySpec, MultimodalModel, UnknownModalityError, build_model
 from cmvae.seeding import per_row_normal
 
@@ -20,6 +21,20 @@ def test_modality_spec_validation():
         ModalitySpec("m", 4, "poisson")
     with pytest.raises(ValueError):
         MultimodalModel([ModalitySpec("a", 2), ModalitySpec("a", 2)], joint_kind="moe")
+
+
+def test_trained_model_joint_posterior_is_poe_or_moe():
+    mods = [ModalitySpec("m1", 6), ModalitySpec("m2", 6)]
+    with pytest.raises(ValueError, match="joint_kind"):
+        build_model(mods, joint_kind="explicit")
+    obs = {"m1": np.zeros((2, 6)), "m2": np.zeros((2, 6))}
+    # a MultimodalModel that does not override encode_joint has no explicit joint posterior
+    bare = MultimodalModel(mods, joint_kind="explicit", params=two_modality_model().params)
+    for model in (bare, two_modality_model(joint_kind="moe")):
+        with pytest.raises(ValueError, match="product of experts"):
+            model.encode_joint(obs)
+    with pytest.raises(ValueError, match="product of experts"):
+        bare.joint_posterior_samples(obs, 2, seed=0)
 
 
 def test_default_encoder_heads_give_standard_normal():
@@ -61,9 +76,9 @@ def test_poe_joint_posterior_matches_gaussian_product_oracle():
             p.value = rng.standard_normal(p.value.shape) * 0.2
     obs = {"m1": rng.uniform(size=(3, 6)), "m2": rng.standard_normal((3, 6))}
     q = model.encode_joint(obs)
+    prior = DiagonalGaussian(mean=Tensor.const(np.zeros(4)), log_var=Tensor.const(np.zeros(4)))
     expect = gaussian_product(
-        [model.encode_unimodal("m1", obs["m1"]), model.encode_unimodal("m2", obs["m2"])],
-        include_standard_prior=True)
+        [model.encode_unimodal("m1", obs["m1"]), model.encode_unimodal("m2", obs["m2"]), prior])
     assert np.allclose(q.mean.value, expect.mean.value)
     assert np.allclose(q.log_var.value, expect.log_var.value)
 
@@ -118,12 +133,11 @@ def test_moe_mixture_log_density_of_identical_components():
 
 
 def test_explicit_joint_log_density_matches_encoder_output():
-    model = two_modality_model(joint_kind="explicit", seed=11)
-    rng = np.random.default_rng(5)
-    obs = {"m1": rng.uniform(size=(4, 6)), "m2": rng.standard_normal((4, 6))}
+    oracle = make_oracle(obs_dims=(3, 2), latent_dim=2, seed=11)
+    model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7)
+    obs = oracle.sample_pairs(4, seed=5)
     z, log_q = model.joint_posterior_samples(obs, 3, seed=4)
     q = model.encode_joint(obs)
-    from cmvae.distributions import DiagonalGaussian
     for s in range(3):
         direct = DiagonalGaussian(
             mean=Tensor.const(q.mean.value),

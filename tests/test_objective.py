@@ -261,7 +261,7 @@ def test_moe_pair_matrix_matches_direct_bound(likelihoods, kind):
     np.testing.assert_allclose(matrix[rows == cols], diag, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("joint_kind", ["moe", "poe", "explicit"])
+@pytest.mark.parametrize("joint_kind", ["moe", "poe"])
 @pytest.mark.parametrize("variant", ["cI", "cC"])
 def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
     model = perturbed_model(joint_kind=joint_kind, seed=6)

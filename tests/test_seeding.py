@@ -85,9 +85,9 @@ def test_row_keys_and_noise_follow_batch_permutation(seed, n, width, rnd):
     assert np.array_equal(per_row_normal(seed, "s", rows[perm], (3,)), block[perm])
 
 
-@pytest.mark.parametrize("joint_kind", ["explicit", "poe"])
+@pytest.mark.parametrize("joint_kind", ["poe", "moe"])
 def test_pair_noise_invariant_to_modality_list_order(joint_kind):
-    # explicit and PoE posteriors key on the pair's rows concatenated in canonical name order
+    # PoE keys on the pair's rows concatenated in canonical name order, MoE on each modality's row
     mods = [ModalitySpec("m1", 3, "gaussian"), ModalitySpec("m2", 2, "gaussian")]
     fwd = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind=joint_kind, seed=1)
     rev = build_model(list(reversed(mods)), latent_dim=2, hidden_dim=4, joint_kind=joint_kind, seed=1)
@@ -97,10 +97,15 @@ def test_pair_noise_invariant_to_modality_list_order(joint_kind):
     x, y = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
     z_fwd, _ = fwd.joint_posterior_samples({"m1": x, "m2": y}, 4, seed=9)
     z_rev, _ = rev.joint_posterior_samples({"m2": y, "m1": x}, 4, seed=9)
-    noise = per_row_normal(9, "joint_posterior", np.concatenate([x, y], axis=1), (4, 2))
     assert np.array_equal(z_fwd.value, z_rev.value)
-    if joint_kind == "explicit":  # untrained heads are N(0, I), so the draws are the noise
-        assert np.array_equal(z_fwd.value, noise)
+    # untrained heads are N(0, I): the PoE of two with the prior is N(0, I / 3), and each
+    # mixture component's draws are its noise
+    if joint_kind == "poe":
+        noise = per_row_normal(9, "joint_posterior", np.concatenate([x, y], axis=1), (4, 2))
+        assert np.array_equal(z_fwd.value, np.exp(-0.5 * np.log(3.0)) * noise)
+    else:
+        noise = [per_row_normal(9, f"joint_posterior.{m}", obs, (2, 2)) for m, obs in (("m1", x), ("m2", y))]
+        assert np.array_equal(z_fwd.value, np.concatenate(noise, axis=1))
 
 
 def test_per_row_normal_keyed_by_content_not_position():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -66,6 +67,21 @@ def test_adam_matches_reference_update():
     v_hat = (0.001 * g["w"] ** 2) / (1 - 0.999)
     expect = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(p["w"].value, expect, atol=1e-12)
+
+
+# sha256 over the default model's parameters, by name in sorted order: name, shape, f64 bytes
+DEFAULT_INIT_SHA256 = "c4f7b28ac2001d3c74a7d0025df1e90787e87e259a277b9a09bdcb02e22fbdc1"
+
+
+@pytest.mark.parametrize("joint_kind", ["moe", "poe"])
+def test_default_model_initialisation_is_golden(joint_kind):
+    model = build_model_from_config(RunConfig(model=ModelConfig(joint_kind=joint_kind)))
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        value = model.params[name].value
+        digest.update(f"{name}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    assert digest.hexdigest() == DEFAULT_INIT_SHA256
 
 
 def test_config_json_roundtrip(tmp_path):
