@@ -35,7 +35,6 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from cmvae import relatedness, training
 
@@ -57,13 +56,6 @@ def shipped_config(script: str) -> training.RunConfig:
         return training.RunConfig.load(path)
 
 
-def seeded(cfg: training.RunConfig, variant: str, percent: float, seed: int, out: str):
-    return replace(cfg, seed=seed, run_id=f"{cfg.run_id}-{variant}-p{percent:g}-s{seed}", output_dir=out,
-                   objective=replace(cfg.objective, variant=variant),
-                   dataset=replace(cfg.dataset, percent=percent, seed=seed),
-                   model=replace(cfg.model, init_seed=seed))
-
-
 def _row_metrics(row: dict) -> dict:
     keys = ("latent_acc_m1", "latent_acc_m2", "joint_coh", "cross_coh_12", "cross_coh_21")
     return {"pmi_gap": row["mean_pmi_related"] - row["mean_pmi_unrelated"], **{k: row[k] for k in keys}}
@@ -74,11 +66,11 @@ def run_cell(task) -> dict:
     experiment, cfg, variant, percent, seed = task
     with tempfile.TemporaryDirectory() as out:
         if experiment == "data":
-            rcfg = seeded(cfg, variant, percent, seed, out)
+            rcfg = training.data_fraction_config(cfg, variant, percent, seed, out)
             state = training.train(rcfg, evaluate=False)
             metrics = _row_metrics(training.evaluate_model(state.model, rcfg, state.step))
         else:
-            rcfg = seeded(cfg, variant, 100.0, seed, out)
+            rcfg = training.data_fraction_config(cfg, variant, 100.0, seed, out)
             report, info = training.run_pipeline(rcfg, relatedness.PropagationConfig(pretrain_percent=percent))
             state = info["state"]
             metrics = {"f1": report.f1, "precision": report.precision, "recall": report.recall,

@@ -2,9 +2,11 @@
 
 A ``Tensor`` wraps a numpy float64 array together with the closures needed to
 push gradients back to its parents.  Graphs are built fresh per evaluation
-(tape style) and torn down by ``backward``; recorded values are never mutated
-in place.  Reductions use numpy's fixed evaluation order, so re-running an
-identical graph yields bit-identical results.
+(tape style); recorded values are never mutated in place.  ``backward``
+returns the gradients of a parameter dict and stores nothing on any
+Tensor, so no gradient state outlives a call.  Reductions use numpy's fixed
+evaluation order, so re-running an identical graph yields bit-identical
+results.
 
 Scalars are Tensors of shape ``()``.  Only f64 is supported; mixed precision
 would invalidate the tolerances the downstream estimators are tested at.
@@ -57,23 +59,21 @@ def _unbroadcast_product(shape: tuple, *operands: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the differentiation graph: value, gradient slot, parent links."""
+    """Node in the differentiation graph: value and parent links."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "name")
+    __slots__ = ("value", "requires_grad", "_parents")
 
-    def __init__(self, value, requires_grad: bool = False, parents=(), name: str | None = None):
+    def __init__(self, value, requires_grad: bool = False, parents=()):
         self.value = _as_array(value)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p, _ in parents)
         # parents: sequence of (Tensor, vjp) where vjp maps upstream grad -> parent grad
         self._parents = tuple((p, fn) for p, fn in parents if p.requires_grad)
-        self.name = name
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def param(value, name: str | None = None) -> "Tensor":
-        return Tensor(value, requires_grad=True, name=name)
+    def param(value) -> "Tensor":
+        return Tensor(value, requires_grad=True)
 
     @staticmethod
     def const(value) -> "Tensor":
@@ -88,8 +88,7 @@ class Tensor:
         return self.value.ndim
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.value.shape}{tag})"
+        return f"Tensor(shape={self.value.shape})"
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -295,26 +294,12 @@ def affine(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def logsumexp(values) -> Tensor:
-    """Stable log-sum-exp of a flat vector, as a scalar Tensor.
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss, keyed like `params`.
 
-    Returns max(v) + log sum exp(v - max); safe for entries up to +-1e6.
-    """
-    t = values if isinstance(values, Tensor) else Tensor.const(values)
-    if t.value.ndim != 1:
-        t = t.reshape(t.value.size)
-    if t.value.size == 0:
-        raise ValueError("logsumexp of empty vector")
-    return t.logsumexp(axis=0)
-
-
-def backward(loss: Tensor, params=None) -> dict:
-    """Reverse-sweep from a scalar loss.
-
-    Populates ``.grad`` on every reachable Tensor that requires grad and
-    returns a dict mapping each requested parameter to its gradient (zeros
-    for parameters the loss does not depend on).  Each node is visited
-    exactly once, in reverse topological order.
+    A reverse sweep visits each node exactly once, in reverse topological
+    order.  Returns one array per entry of `params`, zeros for a parameter
+    the loss does not depend on; nothing is stored on any Tensor.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
@@ -339,13 +324,12 @@ def backward(loss: Tensor, params=None) -> dict:
             state[nid] = 1
             order.append(node)
 
+    # a leaf has no parents to pass its gradient to, so it keeps it in `grads`
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
+        if not node._parents or id(node) not in grads:
             continue
-        if node.requires_grad and not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
+        g = grads.pop(id(node))
         for parent, vjp in node._parents:
             pg = vjp(g)
             pid = id(parent)
@@ -353,19 +337,7 @@ def backward(loss: Tensor, params=None) -> dict:
                 grads[pid] = grads[pid] + pg
             else:
                 grads[pid] = pg
-
-    out = {}
-    if params is not None:
-        items = params.items() if isinstance(params, dict) else ((getattr(p, "name", i), p) for i, p in enumerate(params))
-        for key, p in items:
-            out[key] = p.grad if p.grad is not None else np.zeros_like(p.value)
-    return out
-
-
-def zero_grads(params) -> None:
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
-        p.grad = None
+    return {key: grads[id(p)] if id(p) in grads else np.zeros_like(p.value) for key, p in params.items()}
 
 
 def finite_difference_check(f, params: dict, h: float = 1e-3) -> float:
@@ -376,7 +348,6 @@ def finite_difference_check(f, params: dict, h: float = 1e-3) -> float:
     stencil (8[f(x+h) - f(x-h)] - [f(x+2h) - f(x-2h)]) / 12h.  Error per coordinate is
     |fd - grad| / (|grad| + 1e-8); the max over all coordinates is returned.
     """
-    zero_grads(params)
     loss = f(params)
     if not np.isfinite(loss.value):
         raise FloatingPointError("objective is non-finite at the evaluation point")

@@ -11,6 +11,7 @@ likelihoods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,6 @@ from .autodiff import Tensor
 from .distributions import DiagonalGaussian
 from .models import ModalitySpec, MultimodalModel
 from .seeding import derive_rng, per_row_normal, tag
-
-
-class UnsupportedMetricError(RuntimeError):
-    pass
 
 
 # -- Bayes oracle for the synthetic generator ------------------------------------
@@ -286,10 +283,10 @@ def synergy_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None
     """Both decoded classes match the truth, from a joint-posterior draw.
 
     Mixture-posterior models never sample an explicit joint posterior, so
-    the quantity is undefined for them.
+    the quantity is undefined for them: NaN.
     """
     if model.joint_kind == "moe":
-        raise UnsupportedMetricError("synergy coherence is undefined for mixture posteriors")
+        return math.nan
     obs = ds.pair_observations(rows)
     labels_by = ds.pair_labels(rows)
     names = list(ds.spec.modality_names)

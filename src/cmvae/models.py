@@ -220,24 +220,24 @@ def init_params(modalities: list[ModalitySpec], latent_dim: int, hidden_dim: int
         d = in_dim
         for i in range(num_hidden):
             w = rng.standard_normal((d, hidden_dim)) / np.sqrt(d)
-            params[f"{prefix}.w{i}"] = Tensor.param(w, name=f"{prefix}.w{i}")
-            params[f"{prefix}.b{i}"] = Tensor.param(np.zeros(hidden_dim), name=f"{prefix}.b{i}")
+            params[f"{prefix}.w{i}"] = Tensor.param(w)
+            params[f"{prefix}.b{i}"] = Tensor.param(np.zeros(hidden_dim))
             d = hidden_dim
         return d
 
     def encoder(prefix: str, in_dim: int):
         d = hidden_stack(prefix, in_dim)
         for head in ("mean", "lv"):
-            params[f"{prefix}.w_{head}"] = Tensor.param(np.zeros((d, latent_dim)), name=f"{prefix}.w_{head}")
-            params[f"{prefix}.b_{head}"] = Tensor.param(np.zeros(latent_dim), name=f"{prefix}.b_{head}")
+            params[f"{prefix}.w_{head}"] = Tensor.param(np.zeros((d, latent_dim)))
+            params[f"{prefix}.b_{head}"] = Tensor.param(np.zeros(latent_dim))
 
     def decoder(prefix: str, spec: ModalitySpec):
         d = hidden_stack(prefix, latent_dim)
         w = 0.05 * rng.standard_normal((d, spec.obs_dim))
-        params[f"{prefix}.w_out"] = Tensor.param(w, name=f"{prefix}.w_out")
-        params[f"{prefix}.b_out"] = Tensor.param(np.zeros(spec.obs_dim), name=f"{prefix}.b_out")
+        params[f"{prefix}.w_out"] = Tensor.param(w)
+        params[f"{prefix}.b_out"] = Tensor.param(np.zeros(spec.obs_dim))
         if spec.likelihood == "gaussian":
-            params[f"{prefix}.log_var"] = Tensor.param(np.zeros(spec.obs_dim), name=f"{prefix}.log_var")
+            params[f"{prefix}.log_var"] = Tensor.param(np.zeros(spec.obs_dim))
 
     for m in modalities:
         encoder(f"enc.{m.name}", m.obs_dim)

@@ -90,8 +90,6 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, s
         return -pos.mean(), float(pos.mean().value), math.nan
 
     n_neg = cfg.num_negatives
-    if batch_size <= n_neg:
-        raise ValueError(f"batch size {batch_size} must exceed num_negatives {n_neg}")
     negatives = draw_negatives(batch_size, names, n_neg, seed)
 
     # One direction per modality: that modality's row is replaced by each

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import evaluation, relatedness
-from .autodiff import Tensor, backward, zero_grads
+from .autodiff import Tensor, backward
 from .bounds import iwae
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
@@ -76,6 +76,7 @@ class DatasetConfig:
     def __post_init__(self):
         if not 0.0 < self.percent <= 100.0:
             raise ValueError(f"percent must lie in (0, 100], got {self.percent!r}")
+        _check_at_least(self, pairs_per_instance=1)
         if self.factors.noise_scale == 0.0:  # FactorSpec allows it: noiseless generation is well defined
             raise ValueError("noise_scale must be > 0 in a run, whose oracle classifiers invert "
                              "the noise covariance")
@@ -266,7 +267,7 @@ def restore_state(cfg: RunConfig, path: str) -> TrainState:
         if arrays[k].shape != shape:
             raise ValueError(f"{path}: entry {k!r} has shape {arrays[k].shape}, the config expects {shape}")
     for k in model.params:
-        model.params[k] = Tensor.param(arrays[k].copy(), name=k)
+        model.params[k] = Tensor.param(arrays[k].copy())
     opt = Adam(model.params, cfg.optimizer)
     for k in opt.m:
         opt.m[k] = arrays[f"adam.m.{k}"].copy()
@@ -353,10 +354,7 @@ def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = N
     acc = evaluation.latent_accuracy(model, related, seed=seed)
     cross = evaluation.cross_coherence(model, related, oracles, seed=seed)
     joint = evaluation.joint_coherence(model, cfg.eval_items, oracles, seed=seed)
-    if model.joint_kind == "moe":
-        synergy = math.nan
-    else:
-        synergy = evaluation.synergy_coherence(model, related, oracles, seed=seed)
+    synergy = evaluation.synergy_coherence(model, related, oracles, seed=seed)
 
     scores = relatedness.score_dataset(model, mixed, cfg.objective.num_samples, seed)
     rel = mixed.related.astype(bool)
@@ -413,7 +411,6 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
         state = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer),
                            seed=cfg.seed)
     model, opt = state.model, state.optimizer
-    zero_grads(model.params)  # backward adds to any gradient a caller left behind
 
     num_pairs = len(ds)
     batch_size = min(cfg.optimizer.batch_size, num_pairs)
@@ -443,7 +440,6 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
             if not _all_finite(grads.values()):
                 raise NumericalAbort(step, last_good)
             opt.step(grads)
-            zero_grads(model.params)  # the returned model holds no gradient arrays
             state.step = step + 1
             log.write(csv_line([step, float(loss.value), term1, term2]))
 
@@ -523,14 +519,19 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
     """Cross product of variants x percents x paired seeds; long-format CSV."""
     seeds = seeds if seeds is not None else [cfg.seed]
     runs = (({"variant": variant, "percent": float(percent), "seed": seed},
-             replace(cfg, objective=replace(cfg.objective, variant=variant),
-                     run_id=f"{cfg.run_id}-{variant}-p{percent}-s{seed}",
-                     seed=seed,
-                     dataset=replace(cfg.dataset, percent=float(percent), seed=seed),
-                     model=replace(cfg.model, init_seed=seed),
-                     output_dir=os.path.join(cfg.output_dir, f"{variant}-p{percent}-s{seed}")))
+             data_fraction_config(cfg, variant, percent, seed,
+                                  os.path.join(cfg.output_dir, f"{variant}-p{percent}-s{seed}")))
             for variant in variants for percent in percents for seed in seeds)
     return _sweep(out_path, ["variant", "percent", "seed"], runs)
+
+
+def data_fraction_config(cfg: RunConfig, variant: str, percent: float, seed: int,
+                         output_dir: str) -> RunConfig:
+    """`cfg` for one (variant, percent, seed) run; the seed sets the run, dataset and model-init seeds."""
+    return replace(cfg, objective=replace(cfg.objective, variant=variant),
+                   run_id=f"{cfg.run_id}-{variant}-p{percent}-s{seed}", seed=seed,
+                   dataset=replace(cfg.dataset, percent=float(percent), seed=seed),
+                   model=replace(cfg.model, init_seed=seed), output_dir=output_dir)
 
 
 def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:

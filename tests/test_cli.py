@@ -367,6 +367,9 @@ BAD_CONFIG_FIELD = {
     "private-dim-fractional": ({"dataset": {"factors": {"private_dims": [1.5, 1]}}}, "private_dims"),
     "obs-dim-fractional": ({"dataset": {"factors": {"obs_dims": [6.5, 6]}}}, "obs_dims"),
     "num-classes-fractional": ({"dataset": {"factors": {"num_classes": 3.5}}}, "num_classes"),
+    "pairs-per-instance-0-baseline": ({"dataset": {"pairs_per_instance": 0}, "objective": {"variant": "baseline"}},
+                                      "pairs_per_instance"),
+    "pairs-per-instance-negative": ({"dataset": {"pairs_per_instance": -1}}, "pairs_per_instance"),
 }
 
 

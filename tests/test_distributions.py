@@ -58,13 +58,13 @@ def test_rsample_deterministic_cases():
 
 
 def test_rsample_gradient_paths():
-    mean = Tensor.param(np.array([1.0]), name="mean")
-    log_var = Tensor.param(np.array([0.4]), name="log_var")
+    mean = Tensor.param(np.array([1.0]))
+    log_var = Tensor.param(np.array([0.4]))
     eps = 0.7
     z = rsample(DiagonalGaussian(mean=mean, log_var=log_var), np.array([eps]))
-    backward(z.sum())
-    assert mean.grad[0] == pytest.approx(1.0)
-    assert log_var.grad[0] == pytest.approx(0.5 * math.exp(0.5 * 0.4) * eps)
+    grads = backward(z.sum(), {"mean": mean, "log_var": log_var})
+    assert grads["mean"][0] == pytest.approx(1.0)
+    assert grads["log_var"][0] == pytest.approx(0.5 * math.exp(0.5 * 0.4) * eps)
 
 
 dyadic = st.integers(min_value=-(1 << 20), max_value=1 << 20).map(lambda k: k / 1024.0)
@@ -148,30 +148,29 @@ def test_bernoulli_probabilities_strictly_inside_unit_interval():
 
 
 def test_bernoulli_gradient_bounded_by_clamp():
-    logits = Tensor.param(np.array([100.0]), name="logits")
+    logits = Tensor.param(np.array([100.0]))
     d = FactorBernoulli(logits=logits)
-    backward(d.log_prob(np.array([0.0])).sum())
-    assert logits.grad[0] == 0.0  # outside the clamp window
+    grad = backward(d.log_prob(np.array([0.0])).sum(), {"logits": logits})["logits"]
+    assert grad[0] == 0.0  # outside the clamp window
 
 
 def test_standard_normal_log_prob_gradient():
-    z = Tensor.param(np.array([1.5, -0.5]), name="z")
-    backward(standard_normal_log_prob(z).sum())
-    assert np.allclose(z.grad, -z.value)
+    z = Tensor.param(np.array([1.5, -0.5]))
+    grad = backward(standard_normal_log_prob(z).sum(), {"z": z})["z"]
+    assert np.allclose(grad, -z.value)
 
 
 def test_gaussian_log_prob_gradients_vs_finite_difference():
     rng = np.random.default_rng(1)
-    mean = Tensor.param(rng.standard_normal(4), name="mean")
-    log_var = Tensor.param(rng.standard_normal(4) * 0.3, name="log_var")
+    mean = Tensor.param(rng.standard_normal(4))
+    log_var = Tensor.param(rng.standard_normal(4) * 0.3)
     v = rng.standard_normal(4)
 
     def f():
         return gaussian_log_prob(DiagonalGaussian(mean=mean, log_var=log_var), v).sum()
 
-    backward(f())
-    for p in (mean, log_var):
-        g = p.grad.copy()
+    grads = backward(f(), {"mean": mean, "log_var": log_var})
+    for p, g in ((mean, grads["mean"]), (log_var, grads["log_var"])):
         for i in range(4):
             keep = p.value[i]
             p.value[i] = keep + 1e-6
@@ -258,6 +257,6 @@ def test_pairwise_bernoulli_gradient_matches_finite_differences_and_stops_at_cla
         return (pairwise_log_prob(FactorBernoulli(logits=p["logits"]), targets) * weights).sum()
 
     assert finite_difference_check(f, params) < 1e-6
-    grad = params["logits"].grad
+    grad = backward(f(params), params)["logits"]
     outside = np.abs(logits) >= LOGIT_CLAMP
     assert outside.sum() == 2 and np.all(grad[outside] == 0.0) and np.all(grad[~outside] != 0.0)

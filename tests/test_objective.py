@@ -270,8 +270,6 @@ def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
     loss, term1, term2 = final_objective(model, obs, cfg, seed=12)
     grads = backward(loss, model.params)
     ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=12)
-    for p in model.params.values():
-        p.grad = None
     ref_grads = backward(ref_loss, model.params)
     assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
     assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)

@@ -59,7 +59,7 @@ def tiny_config(out, variant="cI", steps=5, seed=0, **kw):
 
 def test_adam_matches_reference_update():
     # one step against the textbook update rule
-    p = {"w": Tensor.param(np.array([1.0, -2.0]), name="w")}
+    p = {"w": Tensor.param(np.array([1.0, -2.0]))}
     opt = Adam(p, OptimizerConfig(learning_rate=0.1))
     g = {"w": np.array([0.5, -1.5])}
     opt.step(g)
@@ -247,12 +247,14 @@ def test_training_runs_deterministically(tmp_path):
 
 
 def test_train_releases_gradients_and_ignores_stale_ones(tmp_path):
+    # gradients are only backward's return value: no Tensor keeps one, so a
+    # model that went through an earlier backward pass trains like a fresh one
     cfg = tiny_config(tmp_path / "a", steps=3)
     state = train(cfg, evaluate=False)
-    assert all(p.grad is None for p in state.model.params.values())
+    assert not any(hasattr(p, "grad") for p in state.model.params.values())
     model = build_model_from_config(cfg)
-    for p in model.params.values():
-        p.grad = np.ones_like(p.value)  # left behind by an earlier backward pass
+    obs = build_dataset(cfg).pair_observations(np.arange(12))
+    training.backward(training.final_objective(model, obs, cfg.objective, 1)[0], model.params)
     stale = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=cfg.seed)
     train(replace(cfg, output_dir=str(tmp_path / "b")), state=stale, evaluate=False)
     for k, p in state.model.params.items():
