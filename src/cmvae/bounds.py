@@ -81,10 +81,8 @@ def joint_bound(model, obs_by_modality: dict, kind: str, num_samples: int, seed:
 
 
 def _pair_obs(model, x, y) -> dict:
-    names = [m.name for m in model.modalities]
-    if len(names) != 2:
-        raise ValueError("x/y form requires a two-modality model")
-    return {names[0]: x, names[1]: y}
+    a, b = model.modalities
+    return {a.name: x, b.name: y}
 
 
 def elbo(model, x, y, num_samples: int, seed: int) -> Tensor:

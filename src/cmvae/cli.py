@@ -2,11 +2,13 @@
 
 Subcommands: train, eval, sweep-gamma, sweep-data, propagate, oracle-check.
 Configs are JSON files (see RunConfig); the CMVAE_SEED environment variable
-overrides the config seed.  Exit codes: 0 success, 1 a failed oracle-check,
+overrides the config seed, and propagate's --variant, when given, the
+config's objective variant.  Exit codes: 0 success, 1 a failed oracle-check,
 2 config error, 3 numerical abort, 4 unreadable checkpoint (missing,
 truncated, not a checkpoint, or saved for a different model).  Codes 2-4
 print one line to stderr.  A config error is reported before any file is
-written: a config or sweep value RunConfig rejects (such as a gamma not
+written: a config or sweep value RunConfig rejects (such as a value whose
+JSON type is not its field's, a fractional or boolean steps, a gamma not
 finite and >= 1, an obs_dim below num_classes, or a joint_kind other than
 "poe" and "moe"), a non-numeric list entry, sweep-gamma on a baseline
 config, a run that cannot start (see training.check_config), a dataset,
@@ -44,7 +46,7 @@ def _load_config(path: str) -> training.RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = training.RunConfig.load(path)
-    except (json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     env_seed = os.environ.get("CMVAE_SEED")
     if env_seed is not None:
@@ -104,7 +106,8 @@ def _numbers(text: str, kind, flag: str) -> list:
 
 def _cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
-    cfg = replace(cfg, objective=replace(cfg.objective, variant=args.variant))
+    if args.variant is not None:
+        cfg = replace(cfg, objective=replace(cfg.objective, variant=args.variant))
     try:
         pcfg = relatedness.PropagationConfig(
             pretrain_percent=args.pretrain_percent,
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="PMI label propagation pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--pretrain-percent", type=float, default=10.0)
-    p.add_argument("--variant", default="cI", choices=objective.VARIANTS)
+    p.add_argument("--variant", choices=objective.VARIANTS, help="default: the config's variant")
     p.add_argument("--pmi-samples", type=int, default=30)
     p.add_argument("--threshold-rule", default="max-f1", choices=relatedness.THRESHOLD_RULES)
     p.add_argument("--no-continue", action="store_true")

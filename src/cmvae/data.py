@@ -18,7 +18,6 @@ Generation, pairing and subsetting are pure functions of (spec, seed).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,6 @@ class FactorSpec:
     map_seed: int = 0
 
     def __post_init__(self):
-        for key, values in (("num_classes", (self.num_classes,)), ("obs_dims", self.obs_dims),
-                            ("private_dims", self.private_dims)):
-            if not all(isinstance(v, numbers.Integral) for v in values):
-                raise ValueError(f"{key} must hold integers, got {getattr(self, key)!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if len(set(self.modality_names)) != 2:
@@ -127,9 +122,8 @@ class PairedDataset:
         return {name: self.observations[name][sel[:, m]]
                 for m, name in enumerate(self.spec.modality_names)}
 
-    def pair_labels(self, rows=None) -> dict[str, np.ndarray]:
-        sel = self.pairs if rows is None else self.pairs[rows]
-        return {name: self.labels[name][sel[:, m]]
+    def pair_labels(self) -> dict[str, np.ndarray]:
+        return {name: self.labels[name][self.pairs[:, m]]
                 for m, name in enumerate(self.spec.modality_names)}
 
 

@@ -85,9 +85,8 @@ class LinearGaussianOracle:
             gram = a.T @ a
             if not np.allclose(gram, np.diag(np.diag(gram)), atol=1e-10):
                 raise ValueError(f"loading matrix for {name!r} must have orthogonal columns")
-        cov = self.joint_covariance()
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("joint covariance is not positive definite")
+        if not self.noise_var > 0:  # so the joint covariance is positive definite; posterior() divides by it
+            raise ValueError(f"noise_var must be > 0, got {self.noise_var!r}")
 
     @property
     def latent_dim(self) -> int:
@@ -229,15 +228,15 @@ def linear_probe_accuracy(z: np.ndarray, labels: np.ndarray, num_classes: int,
     return 100.0 * float(np.mean(pred == labels[te]))
 
 
-def latent_accuracy(model, ds, rows=None, seed: int = 0) -> dict[str, float]:
+def latent_accuracy(model, ds, seed: int = 0) -> dict[str, float]:
     """Linear separability of the shared factor in posterior samples.
 
     Mixture models report one accuracy per unimodal encoder; other joint
     kinds draw from the single joint posterior and report that value under
     every modality name.
     """
-    obs = ds.pair_observations(rows)
-    labels_by = ds.pair_labels(rows)
+    obs = ds.pair_observations()
+    labels_by = ds.pair_labels()
     names = list(ds.spec.modality_names)
     truth = labels_by[names[0]]
     out = {}
@@ -264,11 +263,10 @@ def joint_coherence(model, n: int, oracles: dict[str, OracleClassifier], seed: i
     return 100.0 * float(np.mean(a == b))
 
 
-def cross_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None,
-                    seed: int = 0) -> dict[str, float]:
+def cross_coherence(model, ds, oracles: dict[str, OracleClassifier], seed: int = 0) -> dict[str, float]:
     """Per-direction class preservation of cross-modal generation."""
-    obs = ds.pair_observations(rows)
-    labels_by = ds.pair_labels(rows)
+    obs = ds.pair_observations()
+    labels_by = ds.pair_labels()
     names = list(ds.spec.modality_names)
     out = {}
     for source, target in ((names[0], names[1]), (names[1], names[0])):
@@ -278,8 +276,7 @@ def cross_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None,
     return out
 
 
-def synergy_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None,
-                      seed: int = 0) -> float:
+def synergy_coherence(model, ds, oracles: dict[str, OracleClassifier], seed: int = 0) -> float:
     """Both decoded classes match the truth, from a joint-posterior draw.
 
     Mixture-posterior models never sample an explicit joint posterior, so
@@ -287,8 +284,8 @@ def synergy_coherence(model, ds, oracles: dict[str, OracleClassifier], rows=None
     """
     if model.joint_kind == "moe":
         return math.nan
-    obs = ds.pair_observations(rows)
-    labels_by = ds.pair_labels(rows)
+    obs = ds.pair_observations()
+    labels_by = ds.pair_labels()
     names = list(ds.spec.modality_names)
     truth = labels_by[names[0]]
     z, _ = model.joint_posterior_samples(obs, 1, seed)

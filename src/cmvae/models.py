@@ -44,7 +44,7 @@ class ModalitySpec:
 
 @dataclass
 class MultimodalModel:
-    """Encoders Phi, decoders Theta and the joint-posterior rule.
+    """Encoders Phi, decoders Theta and the joint-posterior rule, over two named modalities.
 
     joint_kind "poe" multiplies the unimodal posteriors with the standard
     prior; "moe" mixes them with equal weights.  "explicit" is for a
@@ -63,17 +63,13 @@ class MultimodalModel:
         if self.joint_kind not in JOINT_KINDS:
             raise ValueError(f"joint_kind must be one of {JOINT_KINDS}")
         names = [m.name for m in self.modalities]
-        if len(set(names)) != len(names):
-            raise ValueError("modality names must be unique")
+        if not len(set(names)) == len(names) == 2:
+            raise ValueError(f"a model needs two distinctly named modalities, got {names}")
         # Canonical name order makes every reduction over modalities
         # independent of how the list was written down.
         self.modalities = sorted(self.modalities, key=lambda m: m.name)
 
     # -- parameter bookkeeping -------------------------------------------------
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.modalities)
 
     def modality(self, name: str) -> ModalitySpec:
         for m in self.modalities:
@@ -146,7 +142,7 @@ class MultimodalModel:
             z = q.rsample(noise)
             return z, q.log_prob(z)
 
-        m = self.num_modalities
+        m = len(self.modalities)
         if num_samples % m != 0:
             raise ValueError(f"mixture posterior needs num_samples divisible by {m}, got {num_samples}")
         per = num_samples // m

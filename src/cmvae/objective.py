@@ -80,8 +80,6 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, s
     modality row is encoded, sampled and decoded once.
     """
     names = [m.name for m in model.modalities]
-    if len(names) != 2:
-        raise ValueError("final_objective covers two modalities")
     obs = {n: np.atleast_2d(np.asarray(batch[n], dtype=np.float64)) for n in names}
     batch_size = obs[names[0]].shape[0]
 

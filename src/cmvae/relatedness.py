@@ -102,8 +102,6 @@ def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
     Other models compose three estimates that share one seed.
     """
     names = [m.name for m in model.modalities]
-    if len(names) != 2:
-        raise ValueError("pmi scores pairs of a two-modality model")
     obs = dict(zip(names, (x, y)))
     if model.joint_kind == "moe":
         draws = {n: unimodal_draws(model, n, obs[n], num_samples, seed) for n in names}

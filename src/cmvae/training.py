@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ METRICS_SCHEMA = "# cmvae-metrics-v1"
 TRAINLOG_SCHEMA = "# cmvae-trainlog-v1"
 SWEEP_SCHEMA = "# cmvae-sweep-v1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+_JSON_KINDS = {tuple: "a list", float: "a number", int: "an integer", str: "a string"}  # else an object
 
 
 class ConfigError(ValueError):
@@ -99,6 +100,8 @@ class ModelConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """One run.  Its JSON file holds these keys; a missing key takes its default, an unknown one is an error.
+    Each key's JSON type is its default's: an object for a section, a list for a tuple, any number for a
+    float (stored as a float), an integer (not true or false) for an int, and a string for a str.
 
     Top level: run_id, seed, eval_every, eval_items, output_dir, and the sections
     dataset: factors, items_per_modality, pairs_per_instance, percent, seed;
@@ -128,19 +131,26 @@ class RunConfig:
     @staticmethod
     def load(path: str) -> "RunConfig":
         with open(path) as fh:
-            d = dict(json.load(fh))
-        ds = dict(d.get("dataset", {}))
-        if "factors" in ds:
-            fs = dict(ds["factors"])
-            for key in ("modality_names", "obs_dims", "private_dims", "likelihoods"):
-                if key in fs:
-                    fs[key] = tuple(fs[key])
-            ds["factors"] = FactorSpec(**fs)
-        d["dataset"] = DatasetConfig(**ds)
-        d["model"] = ModelConfig(**d.get("model", {}))
-        d["objective"] = ObjectiveConfig(**d.get("objective", {}))
-        d["optimizer"] = OptimizerConfig(**d.get("optimizer", {}))
-        return RunConfig(**d)
+            return _from_json(RunConfig(), json.load(fh), "")
+
+
+def _from_json(default, value, key: str):
+    """`value`, parsed from JSON, with the type of `default`: the default of the field at dotted `key`."""
+    if is_dataclass(default) and type(value) is dict:
+        keys = {name: f"{key}.{name}" if key else name for name in value}
+        unknown = sorted(set(value) - {f.name for f in fields(default)})
+        if unknown:
+            raise ValueError(f"unknown key {keys[unknown[0]]}")
+        return type(default)(**{name: _from_json(getattr(default, name), v, keys[name])
+                                for name, v in value.items()})
+    if type(default) is tuple and type(value) is list:
+        return tuple(_from_json(default[0], v, key) for v in value)
+    if type(default) is float and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        kind = _JSON_KINDS.get(type(default), "an object")
+        raise ValueError(f"{key or 'the config'} must be {kind}, got {value!r}")
+    return value
 
 
 # -- optimizer -----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -395,3 +396,73 @@ def test_bad_config_field_exits_2_before_writing(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid config") and word in err and err.count("\n") == 1, err
     assert not os.path.exists(cfg.output_dir)
+
+
+def _leaves(tree: dict, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _wrong_json(default) -> list:
+    """JSON values of another type than `default`'s; for a list, a wrong first element alone."""
+    if isinstance(default, tuple):
+        return [[v] for v in _wrong_json(default[0])]
+    return {int: [1.5, True, 2.0], float: ["1"], str: [3]}[type(default)]
+
+
+WRONG_JSON_TYPE = [(key, wrong) for key, default in _leaves(asdict(RunConfig()))
+                   for wrong in _wrong_json(default)]
+
+
+@pytest.mark.parametrize("key,wrong", WRONG_JSON_TYPE, ids=[f"{k}={w!r}" for k, w in WRONG_JSON_TYPE])
+def test_wrong_json_type_exits_2_before_writing(tmp_path, monkeypatch, capsys, key, wrong):
+    # every leaf field of the config, so a new field is covered too
+    monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
+    _, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    *sections, name = key.split(".")
+    owner = raw
+    for section in sections:
+        owner = owner[section]
+    owner[name] = wrong + owner[name][1:] if isinstance(wrong, list) else wrong
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid config {path}: {key} must be ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"dataset": {"factors": {"obs_dim": [6, 6]}}}, "unknown key dataset.factors.obs_dim"),
+    ({"optimizer": {"beta1": 0.9}}, "unknown key optimizer.beta1"),
+    ({"model": [3]}, "model must be an object, got [3]"),
+    ({"dataset": {"factors": "default"}}, "dataset.factors must be an object"),
+    ({"dataset": {"factors": {"obs_dims": 6}}}, "dataset.factors.obs_dims must be a list, got 6"),
+])
+def test_unknown_key_or_non_object_section_is_named(tmp_path, capsys, edits, message):
+    cfg, path = tiny_config_file(tmp_path, steps=2)
+    with open(path) as fh:
+        raw = json.load(fh)
+    _merge(raw, edits)
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid config {path}: {message}") and err.count("\n") == 1, err
+    assert not os.path.exists(cfg.output_dir)
+
+
+def test_propagate_trains_the_configs_variant_by_default(tmp_path):
+    cfg, path = tiny_config_file(tmp_path, steps=4, variant="baseline")
+    assert main(["propagate", "--config", path, "--pmi-samples", "4", "--pretrain-percent", "50"]) == 0
+    with open(os.path.join(cfg.output_dir, "t.train.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1] == "step,loss,term1,term2" and len(lines) > 2
+    assert all(line.split(",")[3] == "" for line in lines[2:])  # the baseline has no contrastive term

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ def test_oracle_requires_orthogonal_columns():
 
 def test_oracle_rejects_non_positive_definite():
     a = np.array([[1.0], [0.0]])
-    with pytest.raises(ValueError):
-        LinearGaussianOracle(loadings={"m1": a, "m2": a}, noise_var=0.0)
+    for noise_var in (math.nan, 0.0, -0.5):  # the joint covariance is positive definite iff noise_var > 0
+        with pytest.raises(ValueError, match="noise_var"):
+            LinearGaussianOracle(loadings={"m1": a, "m2": a}, noise_var=noise_var)
 
 
 def test_exact_logp_factorized_limit():
@@ -179,7 +181,8 @@ def test_synergy_perfect_for_prototype_model_on_class0_pairs():
     model = fixed_class_model()
     ds = make_related_dataset(SPEC, 50, seed=11)
     rows = np.flatnonzero(ds.pair_labels()["m1"] == 0)
-    val = synergy_coherence(model, ds, oracle_classifiers(SPEC), rows=rows, seed=12)
+    class0 = replace(ds, pairs=ds.pairs[rows], related=ds.related[rows])
+    val = synergy_coherence(model, class0, oracle_classifiers(SPEC), seed=12)
     assert val == 100.0
 
 

@@ -23,6 +23,18 @@ def test_modality_spec_validation():
         MultimodalModel([ModalitySpec("a", 2), ModalitySpec("a", 2)], joint_kind="moe")
 
 
+@pytest.mark.parametrize("names", [("m1",), ("m1", "m2", "m3"), ("m1", "m1")])
+def test_model_needs_two_distinctly_named_modalities(names):
+    # the pair estimators, the objective and PMI then need no count check of their own
+    mods = [ModalitySpec(name, 2, "gaussian") for name in names]
+    oracle = make_oracle(obs_dims=(2,) * len(names), names=names)  # duplicate names collapse to one
+    for build in (lambda: build_model(mods, latent_dim=3, hidden_dim=8, joint_kind="moe", seed=1),
+                  lambda: MultimodalModel(mods, joint_kind="poe"),
+                  lambda: AnalyticLinearModel(oracle, joint_kind="moe")):
+        with pytest.raises(ValueError, match="two distinctly named modalities"):
+            build()
+
+
 def test_trained_model_joint_posterior_is_poe_or_moe():
     mods = [ModalitySpec("m1", 6), ModalitySpec("m2", 6)]
     with pytest.raises(ValueError, match="joint_kind"):

@@ -117,10 +117,6 @@ def test_moe_pmi_terms_match_separate_estimators(likelihoods):
                                rtol=0, atol=1e-12 * np.abs(alone).max())
     with pytest.raises(ValueError, match="divisible by 2"):
         pmi(model, x, y, 5, seed=3)
-    three = build_model(model.modalities + [ModalitySpec("m3", 2, "gaussian")], latent_dim=3,
-                        hidden_dim=8, joint_kind="moe", seed=1)
-    with pytest.raises(ValueError, match="two-modality"):
-        pmi(three, x, y, 6, seed=3)
 
 
 @pytest.mark.parametrize("joint_kind", ["moe", "poe"])
