@@ -6,7 +6,7 @@ ELBO/IWAE/CUBO bounds, and propagates relatedness labels by thresholding
 pointwise mutual information.
 """
 
-from .autodiff import Tensor, backward, finite_difference_check
+from .autodiff import Tensor, backward
 from .bounds import cubo, elbo, iwae, joint_bound, unimodal_marginal
 from .data import FactorSpec, PairedDataset, generate_unimodal, pair_random, pair_related, subset
 from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_log_prob, gaussian_product, rsample
@@ -16,7 +16,7 @@ from .relatedness import PropagationConfig, PropagationReport, estimate_threshol
 from .training import RunConfig, TrainState, run_pipeline, train
 
 __all__ = [
-    "Tensor", "backward", "finite_difference_check",
+    "Tensor", "backward",
     "elbo", "iwae", "cubo", "joint_bound", "unimodal_marginal",
     "FactorSpec", "PairedDataset", "generate_unimodal", "pair_related", "pair_random", "subset",
     "DiagonalGaussian", "FactorBernoulli", "gaussian_log_prob", "gaussian_product", "rsample",

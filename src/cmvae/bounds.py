@@ -30,6 +30,7 @@ import numpy as np
 from .autodiff import Tensor, concat
 from .distributions import (DiagonalGaussian, mixture_log_density, pairwise_log_prob,
                             standard_normal_log_prob)
+from .models import mixture_split
 from .seeding import per_row_normal
 
 def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
@@ -48,7 +49,7 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     """
     obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
     if pairs is not None and model.joint_kind == "moe":
-        per = num_samples // len(model.modalities)  # mixture_joint_log_weights checks the split
+        per = mixture_split(num_samples)
         draws = {m.name: unimodal_draws(model, m.name, obs[m.name], per, seed) for m in model.modalities}
         return mixture_joint_log_weights(model, obs, draws, num_samples, pairs)
     if pairs is not None:
@@ -164,9 +165,7 @@ def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_sam
     {m: obs[m][pairs[m]]}, S, seed) up to rounding.
     """
     names = [m.name for m in model.modalities]
-    if num_samples % len(names) != 0:
-        raise ValueError(f"mixture posterior needs num_samples divisible by {len(names)}, got {num_samples}")
-    per = num_samples // len(names)
+    per = mixture_split(num_samples)
     for n in names:
         if draws[n].z.shape[1] < per:
             raise ValueError(f"{draws[n].z.shape[1]} draws per row of {n!r}, need {per}")

@@ -18,7 +18,7 @@ Generation, pairing and subsetting are pure functions of (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +99,11 @@ def generate_unimodal(spec: FactorSpec, n: int, modality: str, seed: int) -> Uni
 
 @dataclass(frozen=True)
 class PairedDataset:
-    """Pools per modality plus an index list of pairs with relatedness flags."""
+    """Pools per modality plus an index list of pairs with relatedness flags.
+
+    A pool may hold rows that no pair uses, as in the three sets of
+    relatedness.carve_pipeline_datasets, which pair rows of one shared pool.
+    """
 
     spec: FactorSpec
     observations: dict[str, np.ndarray]
@@ -126,21 +130,18 @@ class PairedDataset:
         return {name: self.labels[name][self.pairs[:, m]]
                 for m, name in enumerate(self.spec.modality_names)}
 
-
-def _relatedness(parts: list[UnimodalData], pairs: np.ndarray) -> np.ndarray:
-    return (parts[0].labels[pairs[:, 0]] == parts[1].labels[pairs[:, 1]]).astype(np.uint8)
+    def with_pairs(self, pairs: np.ndarray, pairs_per_instance: int, pair_seed: int) -> PairedDataset:
+        """The same pools under another pair list, each pair related iff its classes match."""
+        a, b = self.spec.modality_names
+        related = (self.labels[a][pairs[:, 0]] == self.labels[b][pairs[:, 1]]).astype(np.uint8)
+        return replace(self, pairs=pairs, related=related, pairs_per_instance=pairs_per_instance,
+                       pair_seed=pair_seed)
 
 
 def _dataset(spec, parts, pairs, ppi, pair_seed) -> PairedDataset:
-    return PairedDataset(
-        spec=spec,
-        observations={p.modality: p.observations for p in parts},
-        labels={p.modality: p.labels for p in parts},
-        pairs=pairs,
-        related=_relatedness(parts, pairs),
-        pairs_per_instance=ppi,
-        pair_seed=pair_seed,
-    )
+    unpaired = PairedDataset(spec, {p.modality: p.observations for p in parts},
+                             {p.modality: p.labels for p in parts}, pairs[:0], np.zeros(0, dtype=np.uint8))
+    return unpaired.with_pairs(pairs, ppi, pair_seed)
 
 
 def pair_related(spec: FactorSpec, x: UnimodalData, y: UnimodalData,
@@ -170,35 +171,39 @@ def pair_related(spec: FactorSpec, x: UnimodalData, y: UnimodalData,
 
 def pair_random(spec: FactorSpec, x: UnimodalData, y: UnimodalData, seed: int = 0) -> PairedDataset:
     """Uniform random pairing; relatedness recorded from the true labels."""
-    rng = derive_rng(seed, tag("pair_random"))
-    partners = rng.integers(0, len(y.labels), size=len(x.labels))
-    pairs = np.stack([np.arange(len(x.labels)), partners], axis=1)
-    return _dataset(spec, [x, y], pairs, 1, seed)
+    return _dataset(spec, [x, y], random_pairs(len(x.labels), len(y.labels), seed), 1, seed)
+
+
+def random_pairs(num_x: int, num_y: int, seed: int) -> np.ndarray:
+    """(num_x, 2) index pairs of every x item with a uniformly drawn y item."""
+    partners = derive_rng(seed, tag("pair_random")).integers(0, num_y, size=num_x)
+    return np.stack([np.arange(num_x), partners], axis=1)
+
+
+def subset_rows(ds: PairedDataset, percent: float, seed: int = 0) -> dict[str, np.ndarray]:
+    """The sorted rows of each pool that `subset` keeps: a class-stratified `percent` of it."""
+    if not 0.0 < percent <= 100.0:
+        raise ValueError("percent must lie in (0, 100]")
+    rows = {}
+    for name in ds.spec.modality_names:
+        labels = ds.labels[name]
+        keep_n = int(round(len(labels) * percent / 100.0))
+        if keep_n < ds.spec.num_classes:
+            raise ValueError(f"subset of {keep_n} items cannot cover {ds.spec.num_classes} classes")
+        rows[name] = _stratified_choice(labels, keep_n, derive_rng(seed, tag(f"subset.{name}")))
+    return rows
 
 
 def subset(ds: PairedDataset, percent: float, seed: int = 0) -> PairedDataset:
-    """Class-stratified subsample of each unimodal pool, then re-pair related.
+    """Class-stratified subsample of each unimodal pool (subset_rows), then re-pair related.
 
     Taking the pools first (rather than subsampling pairs) preserves the
     requisite amount of related structure at every fraction; 100 percent
     reproduces the original pairing.
     """
-    if not 0.0 < percent <= 100.0:
-        raise ValueError("percent must lie in (0, 100]")
-    names = ds.spec.modality_names
-    kept_parts = []
-    for name in names:
-        labels = ds.labels[name]
-        keep_n = int(round(len(labels) * percent / 100.0))
-        if keep_n < ds.spec.num_classes:
-            raise ValueError(f"subset of {keep_n} items cannot cover {ds.spec.num_classes} classes")
-        rng = derive_rng(seed, tag(f"subset.{name}"))
-        chosen = _stratified_choice(labels, keep_n, rng)
-        kept_parts.append(UnimodalData(modality=name,
-                                       observations=ds.observations[name][chosen],
-                                       labels=labels[chosen]))
-    return pair_related(ds.spec, kept_parts[0], kept_parts[1],
-                        pairs_per_instance=ds.pairs_per_instance, seed=ds.pair_seed)
+    parts = [UnimodalData(name, ds.observations[name][rows], ds.labels[name][rows])
+             for name, rows in subset_rows(ds, percent, seed).items()]
+    return pair_related(ds.spec, *parts, pairs_per_instance=ds.pairs_per_instance, seed=ds.pair_seed)
 
 
 def _stratified_choice(labels: np.ndarray, keep_n: int, rng) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .data import mixing_maps
 from .distributions import DiagonalGaussian
 from .models import ModalitySpec, MultimodalModel
 from .seeding import derive_rng, per_row_normal, tag
@@ -41,7 +42,6 @@ class OracleClassifier:
 
     @staticmethod
     def for_modality(spec, modality: str) -> "OracleClassifier":
-        from .data import mixing_maps  # deferred: data does not import evaluation
         m = spec.modality_index(modality)
         shared, private = mixing_maps(spec)[modality]
         cov = private @ private.T + (spec.noise_scale ** 2) * np.eye(spec.obs_dims[m])

@@ -29,6 +29,13 @@ class UnknownModalityError(KeyError):
     pass
 
 
+def mixture_split(num_samples: int) -> int:
+    """Draws per modality when the mixture posterior splits num_samples evenly over its two modalities."""
+    if num_samples % 2:
+        raise ValueError(f"mixture posterior needs num_samples divisible by 2, got {num_samples}")
+    return num_samples // 2
+
+
 @dataclass(frozen=True)
 class ModalitySpec:
     name: str
@@ -133,7 +140,7 @@ class MultimodalModel:
         stream "joint_posterior.<m>", and log_q[p] is the equal-weight
         mixture density at them.  Pairs that share a row share its draws;
         bounds.mixture_joint_log_weights scores many pairs from one draw per
-        row.  num_samples must divide evenly across modalities.
+        row.  num_samples must split evenly (mixture_split).
         """
         if self.joint_kind in ("explicit", "poe"):
             rows = np.concatenate([np.atleast_2d(obs_by_modality[m.name]) for m in self.modalities], axis=1)
@@ -142,10 +149,7 @@ class MultimodalModel:
             z = q.rsample(noise)
             return z, q.log_prob(z)
 
-        m = len(self.modalities)
-        if num_samples % m != 0:
-            raise ValueError(f"mixture posterior needs num_samples divisible by {m}, got {num_samples}")
-        per = num_samples // m
+        per = mixture_split(num_samples)
         comps, draws = [], []
         for spec in self.modalities:
             obs = np.atleast_2d(np.asarray(obs_by_modality[spec.name], dtype=np.float64))

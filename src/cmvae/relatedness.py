@@ -29,13 +29,13 @@ import os
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import (bound_from_log_weights, iwae, mixture_joint_log_weights, unimodal_draws,
                      unimodal_marginal)
-from .data import PairedDataset, UnimodalData, pair_random, subset
+from .data import PairedDataset, random_pairs, subset, subset_rows
 
 THRESHOLD_RULES = ("max-f1", "max-accuracy")
 
@@ -253,51 +253,32 @@ def propagate(model, mixed: PairedDataset, threshold: float, num_samples: int,
 
 def carve_pipeline_datasets(full_related: PairedDataset, pretrain_percent: float,
                             seed: int) -> tuple[PairedDataset, PairedDataset, PairedDataset]:
-    """Split per the propagation protocol.
+    """Split per the propagation protocol into three pair lists over full_related's own pools.
 
-    Returns (small_related, small_mixed, full_mixed): the pretraining set
-    carved by class-stratified pool subsetting, a random re-pairing of the
-    pretraining pools for threshold fitting, and the remaining items
-    randomly mixed for propagation.
+    Returns (small_related, small_mixed, full_mixed): the pool rows that
+    subset keeps (subset_rows), paired as subset pairs them and at random
+    for threshold fitting, and the remaining rows paired at random for
+    propagation.  Kept and remaining rows partition each pool.
     """
-    small_related = subset(full_related, pretrain_percent, seed=seed)
     names = full_related.spec.modality_names
+    kept = subset_rows(full_related, pretrain_percent, seed)
+    rest = {n: np.setdiff1d(np.arange(len(full_related.labels[n])), rows) for n, rows in kept.items()}
 
-    small_parts, rest_parts = [], []
-    for name in names:
-        kept_obs = small_related.observations[name]
-        pool_obs = full_related.observations[name]
-        kept = _index_of_rows(pool_obs, kept_obs)
-        rest = np.setdiff1d(np.arange(len(pool_obs)), kept)
-        small_parts.append(UnimodalData(name, kept_obs, small_related.labels[name]))
-        rest_parts.append(UnimodalData(name, pool_obs[rest], full_related.labels[name][rest]))
+    def over_pools(rows, local, pairs_per_instance, pair_seed):  # local: positions in each modality's rows
+        pairs = np.stack([rows[n][local[:, m]] for m, n in enumerate(names)], axis=1)
+        return full_related.with_pairs(pairs, pairs_per_instance, pair_seed)
 
-    small_mixed = pair_random(full_related.spec, small_parts[0], small_parts[1], seed=seed + 1)
-    full_mixed = pair_random(full_related.spec, rest_parts[0], rest_parts[1], seed=seed + 2)
-    return small_related, small_mixed, full_mixed
-
-
-def _index_of_rows(pool: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    lookup = {r.tobytes(): i for i, r in enumerate(pool)}
-    return np.array([lookup[r.tobytes()] for r in rows], dtype=np.int64)
+    small = subset(full_related, pretrain_percent, seed)  # pairs positions in kept's rows
+    return (over_pools(kept, small.pairs, small.pairs_per_instance, small.pair_seed),
+            over_pools(kept, random_pairs(*(len(kept[n]) for n in names), seed + 1), 1, seed + 1),
+            over_pools(rest, random_pairs(*(len(rest[n]) for n in names), seed + 2), 1, seed + 2))
 
 
 def merge_predicted(small_related: PairedDataset, mixed: PairedDataset,
                     predicted: np.ndarray) -> PairedDataset:
-    """Union of the pretraining pairs and the predicted-related mixed pairs."""
-    spec = small_related.spec
-    names = spec.modality_names
-    observations, labels, offsets = {}, {}, {}
-    for name in names:
-        observations[name] = np.concatenate([small_related.observations[name],
-                                             mixed.observations[name]])
-        labels[name] = np.concatenate([small_related.labels[name], mixed.labels[name]])
-        offsets[name] = len(small_related.observations[name])
+    """The pretraining pairs plus the mixed pairs flagged in `predicted`, over the pools both share."""
+    if any(small_related.observations[n] is not mixed.observations[n] for n in mixed.spec.modality_names):
+        raise ValueError("merge_predicted needs two datasets over the same pools")
     keep = np.flatnonzero(predicted)
-    shifted = mixed.pairs[keep] + np.array([offsets[n] for n in names])[None, :]
-    pairs = np.concatenate([small_related.pairs, shifted])
-    related = np.concatenate([small_related.related, mixed.related[keep]])
-    return PairedDataset(spec=spec, observations=observations, labels=labels,
-                         pairs=pairs, related=related,
-                         pairs_per_instance=small_related.pairs_per_instance,
-                         pair_seed=small_related.pair_seed)
+    return replace(small_related, pairs=np.concatenate([small_related.pairs, mixed.pairs[keep]]),
+                   related=np.concatenate([small_related.related, mixed.related[keep]]))

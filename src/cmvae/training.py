@@ -21,7 +21,7 @@ from .autodiff import Tensor, backward
 from .bounds import iwae
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
-from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model
+from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model, mixture_split
 from .objective import ObjectiveConfig, final_objective
 from .seeding import derive_rng, tag
 
@@ -483,11 +483,12 @@ def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = N
                              f"exceed num_negatives {n_neg}")
     if cfg.model.joint_kind != "moe":
         return
-    m = len(cfg.dataset.factors.modality_names)
     for where, k in (("objective", cfg.objective.num_samples), ("pmi_num_samples", pmi_num_samples)):
-        if k is not None and k % m != 0:
-            raise ConfigError(f"run {cfg.run_id!r}: the mixture posterior splits samples evenly "
-                              f"across {m} modalities, but {where} has num_samples {k}")
+        try:
+            if k is not None:
+                mixture_split(k)
+        except ValueError as exc:
+            raise ConfigError(f"run {cfg.run_id!r}: {exc}; {where} has num_samples {k}") from None
 
 
 def _all_finite(arrays) -> bool:

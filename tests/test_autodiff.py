@@ -13,8 +13,8 @@ from cmvae.autodiff import (
     affine,
     backward,
     concat,
-    finite_difference_check,
 )
+from gradcheck import finite_difference_check
 
 
 def logsumexp(values) -> Tensor:

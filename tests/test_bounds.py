@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmvae.autodiff import Tensor, backward, finite_difference_check
+from cmvae.autodiff import Tensor, backward
 from cmvae.bounds import (
     bound_from_log_weights,
     cubo,
@@ -13,6 +13,7 @@ from cmvae.bounds import (
 )
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
 from cmvae.models import ModalitySpec, UnknownModalityError, build_model
+from gradcheck import finite_difference_check
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvae.autodiff import ShapeMismatchError, Tensor, backward, finite_difference_check
+from cmvae.autodiff import ShapeMismatchError, Tensor, backward
 from cmvae.distributions import (
     LOGIT_CLAMP,
     DiagonalGaussian,
@@ -16,6 +16,7 @@ from cmvae.distributions import (
     rsample,
     standard_normal_log_prob,
 )
+from gradcheck import finite_difference_check
 
 
 def gauss(mean, log_var):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cmvae.autodiff import Tensor, backward, finite_difference_check
+from cmvae.autodiff import Tensor, backward
 from cmvae import bounds, distributions, objective, relatedness
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
 from cmvae.objective import ObjectiveConfig, draw_negatives, final_objective
+from gradcheck import finite_difference_check
 
 
 def toy_model(joint_kind="moe", seed=0, obs_dim=4, m=2):
@@ -317,7 +318,7 @@ def test_moe_objective_scores_own_terms_once_per_row(monkeypatch):
 
 @pytest.mark.parametrize("likelihoods", [("gaussian", "gaussian"), ("bernoulli", "bernoulli"),
                                          ("bernoulli", "gaussian")])
-def test_moe_pair_log_weights_match_gathered_rows(likelihoods):
+def test_moe_pair_log_weights_match_gathered_rows(likelihoods, monkeypatch):
     model = perturbed_model(likelihoods=likelihoods, seed=11)
     obs = pair_batch(model, 6, seed=12)
     rng = np.random.default_rng(13)
@@ -333,8 +334,11 @@ def test_moe_pair_log_weights_match_gathered_rows(likelihoods):
     short = {n: bounds.unimodal_draws(model, n, obs[n], 2, seed=14) for n in obs}
     with pytest.raises(ValueError, match="need 3"):
         bounds.mixture_joint_log_weights(model, obs, short, 6, pairs)
+    encoded = []  # an uneven split fails before any row is encoded
+    monkeypatch.setattr(model, "encode_unimodal", lambda *args: encoded.append(args))
     with pytest.raises(ValueError, match="divisible by 2"):
         bounds.joint_log_weights(model, obs, 5, seed=14, pairs=pairs)
+    assert encoded == []
 
 
 def test_pmi_and_objective_reach_the_one_mixture_path(monkeypatch):

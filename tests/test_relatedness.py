@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cmvae.bounds import (bound_from_log_weights, iwae, joint_log_weights, mixture_joint_log_weights,
                           unimodal_draws, unimodal_marginal)
-from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random
+from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random, subset, subset_rows
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
 from cmvae import relatedness
 from cmvae.models import ModalitySpec, MultimodalModel, build_model
@@ -382,14 +382,33 @@ def test_carve_pipeline_shapes_and_purity():
     spec = FactorSpec()
     full = make_related_dataset(spec, 200, seed=9)
     small, small_mixed, full_mixed = carve_pipeline_datasets(full, 10.0, seed=10)
-    assert len(small.observations["m1"]) == 20
+    assert len(np.unique(small.pairs[:, 0])) == 20
     assert small.related.all()
-    assert len(full_mixed.observations["m1"]) == 180
+    assert len(np.unique(full_mixed.pairs[:, 0])) == 180
     # mixed sets keep truthful flags
     lab = small_mixed.pair_labels()
     assert np.array_equal(small_mixed.related.astype(bool), lab["m1"] == lab["m2"])
     again = carve_pipeline_datasets(full, 10.0, seed=10)
     assert np.array_equal(again[2].pairs, full_mixed.pairs)
+
+
+def test_pipeline_sets_partition_each_pool_with_repeated_rows():
+    # without noise or private factors every row of a class is the same bytes
+    spec = FactorSpec(num_classes=3, obs_dims=(4, 4), private_dims=(0, 0), noise_scale=0.0)
+    full = make_related_dataset(spec, 60, seed=3)
+    small, small_mixed, full_mixed = carve_pipeline_datasets(full, 20.0, seed=4)
+    kept = subset_rows(full, 20.0, seed=4)
+    for m, name in enumerate(spec.modality_names):
+        rest = np.setdiff1d(np.arange(60), kept[name])
+        assert len(kept[name]) == 12 and len(rest) == 48
+        assert set(small.pairs[:, m]) | set(small_mixed.pairs[:, m]) <= set(kept[name])
+        assert set(full_mixed.pairs[:, m]) <= set(rest)
+    # every row of the first modality is paired once, either for the threshold or for propagation
+    first = np.concatenate([small_mixed.pairs[:, 0], full_mixed.pairs[:, 0]])
+    assert np.array_equal(np.sort(first), np.arange(60))
+    expect = subset(full, 20.0, seed=4)
+    for name, rows in small.pair_observations().items():
+        assert np.array_equal(rows, expect.pair_observations()[name])
 
 
 def test_merge_predicted_combines_pools():
@@ -405,6 +424,9 @@ def test_merge_predicted_combines_pools():
     tail = obs[names[0]][-5:]
     expect = full_mixed.pair_observations()[names[0]][:5]
     assert np.array_equal(tail, expect)
+    other = carve_pipeline_datasets(make_related_dataset(spec, 100, seed=13), 20.0, seed=12)[2]
+    with pytest.raises(ValueError, match="same pools"):
+        merge_predicted(small, other, np.ones(len(other), dtype=np.uint8))
 
 
 def test_propagation_config_validation():
