@@ -8,14 +8,18 @@ For each seed, both trees run `perfbench/run.py --workload W --seed N
 --trace 0` from their own root, one after the other: the parent first in
 even pairs and the change first in odd ones, so a drift in host speed
 falls on both alike.  Runs last as long as BENCHMARK.json says.  The last
-stdout line of a run is its result; each goes to stderr as it arrives.
+stdout line of a run is its result, to which the run's `host_factor` (the
+host's calibration time over the reference's, from the line before) is
+added; each goes to stderr as it arrives.
 
 The summary gives, for each end-to-end metric in the change tree's
 BENCHMARK.json, the median and quartiles of each tree, the ratio of the
 medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
 beside the parent's interquartile range, and a no-regression verdict
-against the metric's relative `bound` (see `verdict`); it names every run
+against the metric's relative `bound` (see `verdict`); then each tree's
+median and quartiles of `host_factor` and its value per pair, since a run
+on a briefly faster host reads faster after rescaling; it names every run
 that reported `failed` > 0.  `--claim METRIC` adds the verdict on a
 claimed gain in METRIC ("claim met" or "claim not met", see `claim`).
 `--json PATH` writes the same summary, with each pair's values and any
@@ -44,14 +48,14 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_tree(tree: str, workload: str, seed: int) -> str:
-    """The result line of one untraced run.py call in `tree`."""
+    """The result line of one untraced run.py call in `tree`, with its host_factor."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{tree}: run.py exited with code {proc.returncode} at seed {seed}")
-    return lines[-1]
+    return json.dumps({**json.loads(lines[-1]), "host_factor": json.loads(lines[-2])["host_factor"]})
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -59,6 +63,11 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
         return values[0], values[0]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def _spread(values: list[float]) -> dict:
+    q1, q3 = _quartiles(values)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
 def verdict(par: list[float], chg: list[float], direction: str, bound: float) -> str:
@@ -109,17 +118,16 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
         par = [p["metrics"][name]["value"] for p, _ in results]
         chg = [c["metrics"][name]["value"] for _, c in results]
         ratios = [c / p if p else float("nan") for p, c in zip(par, chg)]
-        (p1, p3), (c1, c3) = _quartiles(par), _quartiles(chg)
-        mp, mc = statistics.median(par), statistics.median(chg)
+        sp, sc = _spread(par), _spread(chg)
+        mp, mc = sp["median"], sc["median"]
         metrics[name] = {
             "unit": results[0][1]["metrics"][name]["unit"], "better": direction,
-            "parent": {"median": mp, "q1": p1, "q3": p3, "values": par},
-            "change": {"median": mc, "q1": c1, "q3": c3, "values": chg},
+            "parent": sp, "change": sc,
             "ratio_of_medians": mc / mp if mp else float("nan"),
             "median_ratio": statistics.median(ratios), "ratios": ratios,
             "wins": sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg)),
             "ties": sum(c == p for p, c in zip(par, chg)),
-            "median_gap": mc - mp, "parent_iqr": p3 - p1}
+            "median_gap": mc - mp, "parent_iqr": sp["q3"] - sp["q1"]}
         if bounds and name in bounds:
             metrics[name].update(bound=bounds[name], verdict=verdict(par, chg, direction, bounds[name]))
         if name == claimed:
@@ -127,7 +135,9 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
     failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
               for i, (p, c) in enumerate(results)
               for tree, r in (("parent", p), ("change", c)) if r["failed"] > 0]
-    return {"pairs": len(results), "metrics": metrics, "failed_runs": failed}
+    host = {tree: _spread([pair[i]["host_factor"] for pair in results])
+            for i, tree in enumerate(("parent", "change"))}
+    return {"pairs": len(results), "metrics": metrics, "host_factor": host, "failed_runs": failed}
 
 
 def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
@@ -154,6 +164,11 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
                          f" (needs {c['wins_needed']}), median gap {c['median_gap']:.6g}"
                          f" {'beyond' if c['gap_beyond_iqr'] else 'inside'} parent IQR"
                          f" {c['parent_iqr']:.6g}")
+    par, chg = s["host_factor"]["parent"], s["host_factor"]["change"]
+    lines.append("host_factor, > 1 on a host slower than the reference")
+    lines.append(f"  parent {par['median']:.4g} [{par['q1']:.4g}, {par['q3']:.4g}]"
+                 f"  change {chg['median']:.4g} [{chg['q1']:.4g}, {chg['q3']:.4g}]")
+    lines.append("  per pair " + " ".join(f"{p:.3f}/{c:.3f}" for p, c in zip(par["values"], chg["values"])))
     for f in s["failed_runs"]:
         lines.append(f"FAILED: pair {f['pair']}, {f['tree']}: {f['failed']} of {f['attempted']} "
                      "calls and checks")

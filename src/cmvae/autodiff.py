@@ -2,17 +2,20 @@
 
 A ``Tensor`` wraps a numpy float64 array together with the closures needed to
 push gradients back to its parents.  Graphs are built fresh per evaluation
-(tape style); recorded values are never mutated in place.  ``backward``
-returns the gradients of a parameter dict and stores nothing on any
-Tensor, so no gradient state outlives a call.  Reductions use numpy's fixed
-evaluation order, so re-running an identical graph yields bit-identical
-results.
+(tape style); recorded values are never mutated in place, and a node's
+parents exist before it, so a tape holds no cycle.  ``backward`` walks it in
+post-order and returns the gradients of a parameter dict, storing nothing on
+any Tensor.  A gather's adjoint sums with one np.bincount, in gather order.
+Reductions use numpy's fixed evaluation order, so re-running an identical
+graph yields bit-identical results.
 
 Scalars are Tensors of shape ``()``.  Only f64 is supported; mixed precision
 would invalidate the tolerances the downstream estimators are tested at.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,10 +26,6 @@ class ShapeMismatchError(ValueError):
     def __init__(self, op: str, shape_a, shape_b):
         super().__init__(f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}")
         self.shapes = (tuple(shape_a), tuple(shape_b))
-
-
-class GraphCycleError(RuntimeError):
-    """Raised if backward encounters a cycle (should be impossible for taped graphs)."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -87,9 +86,6 @@ class Tensor:
     def ndim(self):
         return self.value.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
-
     # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
@@ -113,9 +109,6 @@ class Tensor:
             (other, lambda g: _unbroadcast(-g, other.value.shape)),
         ))
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         val = _ew("multiply", self.value, other.value, np.multiply)
@@ -135,9 +128,6 @@ class Tensor:
             (self, lambda g: _unbroadcast(g / b, a.shape)),
             (other, lambda g: _unbroadcast(-g * a / (b * b), b.shape)),
         ))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
         return Tensor(-self.value, parents=((self, lambda g: -g),))
@@ -170,15 +160,10 @@ class Tensor:
         out = 1.0 / (1.0 + np.exp(-self.value))
         return Tensor(out, parents=((self, lambda g: g * out * (1.0 - out)),))
 
-    def clamp(self, lo: float | None = None, hi: float | None = None):
+    def clamp(self, lo: float, hi: float):
         """Elementwise clip; gradient passes only where the value was kept."""
-        val = np.clip(self.value, lo, hi)
-        mask = np.ones_like(self.value)
-        if lo is not None:
-            mask = mask * (self.value > lo)
-        if hi is not None:
-            mask = mask * (self.value < hi)
-        return Tensor(val, parents=((self, lambda g: g * mask),))
+        mask = ((self.value > lo) & (self.value < hi)).astype(np.float64)
+        return Tensor(np.clip(self.value, lo, hi), parents=((self, lambda g: g * mask),))
 
     def floor_at(self, lo: float):
         """Elementwise maximum with a constant; gradient passes where above."""
@@ -194,9 +179,16 @@ class Tensor:
         return Tensor(self.value.reshape(shape), parents=((self, lambda g: g.reshape(old)),))
 
     def __getitem__(self, idx):
-        """Basic or fancy indexing; an entry gathered k times gets k times its gradient."""
-        val = self.value[idx]
-        return Tensor(val, parents=((self, lambda g, shape=self.value.shape: _scatter_add(shape, idx, g)),))
+        """Gather by a basic index or by integer indices over the leading axes;
+        an entry gathered k times gets k times its gradient.  Any other index
+        (a slice mixed with arrays, a boolean mask) raises IndexError."""
+        if not _is_basic(idx):
+            idx = tuple(map(np.asarray, idx if isinstance(idx, tuple) else (idx,)))
+            if not all(p.dtype.kind in "iu" for p in idx):
+                raise IndexError(f"a gather takes a basic index or integer indices over the "
+                                 f"leading axes, got {idx!r}")
+        shape = self.value.shape
+        return Tensor(self.value[idx], parents=((self, lambda g: _scatter_add(shape, idx, g)),))
 
     # -- reductions ----------------------------------------------------------------
 
@@ -204,9 +196,7 @@ class Tensor:
         shape = self.value.shape
 
         def vjp(g):
-            if axis is None:
-                return np.full(shape, g, dtype=np.float64) if np.ndim(g) == 0 else np.broadcast_to(g, shape).copy()
-            return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+            return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
 
         return Tensor(self.value.sum(axis=axis), parents=((self, vjp),))
 
@@ -223,32 +213,28 @@ class Tensor:
         return shifted.sum(axis=axis).log() + Tensor.const(np.squeeze(m, axis=axis))
 
 
+def _is_basic(idx) -> bool:
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts)
+
+
 def _scatter_add(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
     """Adjoint of `value[idx]` for a value of `shape`: zeros, plus g summed into place.
 
     A basic index never selects an entry twice, so it assigns.  Integer
-    arrays over the leading axes are reduced by sorted segment sums, several
-    times faster than np.add.at when trailing slabs are large, or by
-    np.bincount over every axis; any other fancy index falls back to np.add.at.
+    arrays over the k leading axes become one flat element index, each
+    leading-axes position expanded over its trailing slab, and one
+    np.bincount sums g over it in gather order.
     """
-    out = np.zeros(shape)
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    if all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts):
+    if _is_basic(idx):
+        out = np.zeros(shape)
         out[idx] = g
-    elif all(isinstance(p, np.ndarray) and p.dtype.kind in "iu" for p in parts):
-        k = len(parts)
-        flat = np.ravel_multi_index(np.broadcast_arrays(*parts), shape[:k], mode="wrap").reshape(-1)
-        if k == len(shape):
-            out = np.bincount(flat, weights=g.reshape(-1), minlength=out.size).reshape(shape)
-        elif flat.size:
-            order = np.argsort(flat, kind="stable")
-            pos = flat[order]
-            starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-            slabs = g.reshape((flat.size,) + shape[k:])[order]
-            out.reshape((-1,) + shape[k:])[pos[starts]] = np.add.reduceat(slabs, starts, axis=0)
-    else:
-        np.add.at(out, idx, g)
-    return out
+        return out
+    k = len(idx)
+    slab = math.prod(shape[k:])
+    lead = np.ravel_multi_index(np.broadcast_arrays(*idx), shape[:k], mode="wrap")
+    flat = (lead.reshape(-1, 1) * slab + np.arange(slab)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
 def _ew(op: str, a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
@@ -304,25 +290,18 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     if loss.value.ndim != 0:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
 
+    # post-order: a node is emitted after all of its parents
     order: list[Tensor] = []
-    state: dict[int, int] = {}  # 0 = on stack, 1 = done
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node, pi = stack.pop()
-        nid = id(node)
-        if pi == 0:
-            if state.get(nid) == 1:
-                continue
-            if state.get(nid) == 0:
-                raise GraphCycleError("cycle detected in differentiation graph")
-            state[nid] = 0
-        parents = node._parents
-        if pi < len(parents):
-            stack.append((node, pi + 1))
-            stack.append((parents[pi][0], 0))
-        else:
-            state[nid] = 1
+        node, expanded = stack.pop()
+        if expanded:
             order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p, _ in reversed(node._parents))
 
     # a leaf has no parents to pass its gradient to, so it keeps it in `grads`
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}

@@ -138,10 +138,14 @@ class PairedDataset:
                        pair_seed=pair_seed)
 
 
-def _dataset(spec, parts, pairs, ppi, pair_seed) -> PairedDataset:
-    unpaired = PairedDataset(spec, {p.modality: p.observations for p in parts},
-                             {p.modality: p.labels for p in parts}, pairs[:0], np.zeros(0, dtype=np.uint8))
-    return unpaired.with_pairs(pairs, ppi, pair_seed)
+def _pools(spec: FactorSpec, x: UnimodalData, y: UnimodalData) -> PairedDataset:
+    """x and y as the pools of a dataset with no pairs; pair column m reads modality m of spec."""
+    if (x.modality, y.modality) != tuple(spec.modality_names):
+        raise ValueError(f"pair the modalities in the spec's order {tuple(spec.modality_names)!r}, "
+                         f"got ({x.modality!r}, {y.modality!r})")
+    return PairedDataset(spec, {x.modality: x.observations, y.modality: y.observations},
+                         {x.modality: x.labels, y.modality: y.labels}, np.zeros((0, 2), dtype=np.int64),
+                         np.zeros(0, dtype=np.uint8))
 
 
 def pair_related(spec: FactorSpec, x: UnimodalData, y: UnimodalData,
@@ -153,6 +157,7 @@ def pair_related(spec: FactorSpec, x: UnimodalData, y: UnimodalData,
     one partner each, about 1/e of a pool stays unpaired; pairing every pool
     row evenly instead lowered held-out IWAE at 10% data by 6-23 nats.
     """
+    pools = _pools(spec, x, y)
     rng = derive_rng(seed, tag("pair_related"))
     partners = np.empty((len(x.labels), pairs_per_instance), dtype=np.int64)
     for c in np.unique(x.labels):
@@ -166,12 +171,12 @@ def pair_related(spec: FactorSpec, x: UnimodalData, y: UnimodalData,
             picks = rng.integers(pool.size, size=(items.size, pairs_per_instance))
         partners[items] = pool[picks]
     pairs = np.stack([np.repeat(np.arange(len(x.labels)), pairs_per_instance), partners.reshape(-1)], axis=1)
-    return _dataset(spec, [x, y], pairs, pairs_per_instance, seed)
+    return pools.with_pairs(pairs, pairs_per_instance, seed)
 
 
 def pair_random(spec: FactorSpec, x: UnimodalData, y: UnimodalData, seed: int = 0) -> PairedDataset:
     """Uniform random pairing; relatedness recorded from the true labels."""
-    return _dataset(spec, [x, y], random_pairs(len(x.labels), len(y.labels), seed), 1, seed)
+    return _pools(spec, x, y).with_pairs(random_pairs(len(x.labels), len(y.labels), seed), 1, seed)
 
 
 def random_pairs(num_x: int, num_y: int, seed: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvae.autodiff import (
-    GraphCycleError,
     ShapeMismatchError,
     Tensor,
     affine,
@@ -135,14 +134,6 @@ def test_backward_visits_shared_subgraph_once():
     assert backward(loss, {"x": x})["x"] == pytest.approx(32.0)
 
 
-def test_cycle_detection():
-    x = Tensor.param(1.0)
-    y = x * 2.0
-    y._parents = ((y, lambda g: g),)  # sabotage the tape into a loop
-    with pytest.raises(GraphCycleError):
-        backward(y, {"x": x})
-
-
 def test_three_layer_perceptron_grads_match_finite_differences():
     rng = np.random.default_rng(7)
     params = {
@@ -235,3 +226,38 @@ def test_concat_gradient_splits():
     grads = backward((concat([a, b], axis=0) * np.arange(5.0)).sum(), {"a": a, "b": b})
     assert np.array_equal(grads["a"], [0.0, 1.0])
     assert np.array_equal(grads["b"], [2.0, 3.0, 4.0])
+
+
+def explicit_scatter(shape, idx, g):
+    """The gather adjoint as a loop: each gathered entry adds its g to its source entry."""
+    source = np.arange(math.prod(shape)).reshape(shape)[idx]
+    out = np.zeros(math.prod(shape))
+    for s, v in zip(source.reshape(-1), g.reshape(-1)):
+        out[s] += v
+    return out.reshape(shape)
+
+
+_rng = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("shape, idx", [
+    ((64, 15), np.concatenate([np.arange(64), _rng.integers(64, size=640)])),  # repeated rows
+    ((64, 960), (_rng.integers(64, size=(704, 1)), _rng.integers(960, size=(704, 15)))),
+    ((4, 3), [3, 0, 3, -1]),
+    ((4, 3, 2), (1, np.array([[0, 2], [2, 2]]))),
+], ids=["leading-axis", "two-axis", "list", "int-and-array"])
+def test_gather_adjoint_matches_an_explicit_loop(shape, idx):
+    rng = np.random.default_rng(5)
+    x = Tensor.param(rng.standard_normal(shape))
+    gathered = x[idx]
+    g = rng.standard_normal(gathered.shape)
+    grad = backward((gathered * g).sum(), {"x": x})["x"]
+    assert np.array_equal(grad, explicit_scatter(shape, idx, g))
+
+
+@pytest.mark.parametrize("idx", [(slice(None), np.array([0, 0])), np.array([True, False, True]),
+                                 (np.array([0, 1]), Ellipsis)], ids=["slice-and-array", "mask", "ellipsis"])
+def test_gather_rejects_other_indices_when_recorded(idx):
+    x = Tensor.param(np.ones((3, 3)))
+    with pytest.raises(IndexError, match="integer indices over the leading axes"):
+        x[idx]

@@ -9,10 +9,10 @@ bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
 
-def result_line(rate, nll, failed=0):
+def result_line(rate, nll, failed=0, host_factor=1.5):
     return json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
         "train_pairs_per_s": {"value": rate, "unit": "pairs/s"},
-        "heldout_iwae_nll": {"value": nll, "unit": "nats"}}})
+        "heldout_iwae_nll": {"value": nll, "unit": "nats"}}, "host_factor": host_factor})
 
 
 def test_summary_reports_medians_ratios_wins_and_failures():
@@ -72,6 +72,26 @@ def test_json_summary_and_file_keep_every_workload(tmp_path):
     assert doc["propagate"]["metrics"]["heldout_iwae_nll"]["ties"] == 1
 
 
+def test_host_factor_of_each_run_is_kept_and_summarised(tmp_path):
+    # run.py prints a detail line with host_factor, then the result line
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {"pipeline_s": {"value": 0.6, "unit": "s"}}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('{\"medians\": {}, \"host_factor\": 1.25, \"failed_checks\": []}')\n"
+        f"print({json.dumps(result)!r})\n")
+    assert json.loads(bench_ab.run_tree(str(tmp_path), "propagate", 0)) == {**result, "host_factor": 1.25}
+    pairs = [(result_line(100.0, 5.0, host_factor=h), result_line(100.0, 5.0, host_factor=c))
+             for h, c in ((1.6, 1.16), (1.7, 1.28), (1.5, 1.62))]
+    host = bench_ab.summary(pairs, {"train_pairs_per_s": "higher"})["host_factor"]
+    assert host["parent"] == {"median": 1.6, "q1": 1.55, "q3": 1.65, "values": [1.6, 1.7, 1.5]}
+    assert host["change"]["median"] == 1.28 and host["change"]["values"] == [1.16, 1.28, 1.62]
+    lines = bench_ab.summarize(pairs, {"train_pairs_per_s": "higher"})
+    assert lines[-3:] == ["host_factor, > 1 on a host slower than the reference",
+                          "  parent 1.6 [1.55, 1.65]  change 1.28 [1.22, 1.45]",
+                          "  per pair 1.600/1.160 1.700/1.280 1.500/1.620"]
+
+
 def test_verdict_against_the_bound():
     # bound 0.25: parent runs at 100, 110, 120 (median 110, IQR 10)
     bounds = {"train_pairs_per_s": 0.25}
@@ -98,8 +118,8 @@ def test_verdict_against_the_bound():
 
 
 def claim_of(parent_values, change_values, better="lower", metric="pipeline_s"):
-    pairs = [(json.dumps({"failed": 0, "metrics": {metric: {"value": p, "unit": "u"}}}),
-              json.dumps({"failed": 0, "metrics": {metric: {"value": c, "unit": "u"}}}))
+    pairs = [(json.dumps({"failed": 0, "metrics": {metric: {"value": p, "unit": "u"}}, "host_factor": 1.5}),
+              json.dumps({"failed": 0, "metrics": {metric: {"value": c, "unit": "u"}}, "host_factor": 1.5}))
              for p, c in zip(parent_values, change_values)]
     lines = bench_ab.summarize(pairs, {metric: better}, claimed=metric)
     return bench_ab.summary(pairs, {metric: better}, claimed=metric)["metrics"][metric]["claim"], lines

@@ -104,6 +104,22 @@ def test_pair_related_missing_class_errors():
         pair_related(SPEC, x, y_missing, pairs_per_instance=2, seed=0)
 
 
+def test_pair_related_rejects_pools_out_of_spec_order():
+    # swapped, every flag would be computed across the wrong pools: 0.14 of them read 1
+    x = generate_unimodal(SPEC, 50, "m1", seed=1)
+    y = generate_unimodal(SPEC, 50, "m2", seed=2)
+    with pytest.raises(ValueError, match=r"spec's order \('m1', 'm2'\), got \('m2', 'm1'\)"):
+        pair_related(SPEC, y, x, pairs_per_instance=1, seed=3)
+
+
+def test_pair_random_rejects_pools_out_of_spec_order():
+    # swapped, the 60-row m2 pool's indices overran the 50-row m1 pool: an IndexError
+    x = generate_unimodal(SPEC, 50, "m1", seed=1)
+    y = generate_unimodal(SPEC, 60, "m2", seed=2)
+    with pytest.raises(ValueError, match=r"spec's order \('m1', 'm2'\), got \('m2', 'm1'\)"):
+        pair_random(SPEC, y, x, seed=3)
+
+
 def labelled(modality, labels):
     labels = np.asarray(labels, dtype=np.int64)
     return UnimodalData(modality, np.arange(float(labels.size))[:, None], labels)
