@@ -9,18 +9,21 @@ For each seed, both trees run `perfbench/run.py --workload W --seed N
 even pairs and the change first in odd ones, so a drift in host speed
 falls on both alike.  Runs last as long as BENCHMARK.json says.  The last
 stdout line of a run is its result, to which the run's `host_factor` (the
-host's calibration time over the reference's, from the line before) is
-added; each goes to stderr as it arrives.
+host's calibration time over the reference's) and its raw `medians` (the
+timing metrics before rescaling by host_factor), both from the line
+before, are added; each goes to stderr as it arrives.
 
 The summary gives, for each end-to-end metric in the change tree's
 BENCHMARK.json, the median and quartiles of each tree, the ratio of the
 medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
 beside the parent's interquartile range, and a no-regression verdict
-against the metric's relative `bound` (see `verdict`); then each tree's
-median and quartiles of `host_factor` and its value per pair, since a run
-on a briefly faster host reads faster after rescaling; it names every run
-that reported `failed` > 0.  `--claim METRIC` adds the verdict on a
+against the metric's relative `bound` (see `verdict`).  A timing metric
+also gets each tree's median of the raw medians and their ratio, which
+host_factor's rescaling does not move.  Then come each tree's median and
+quartiles of `host_factor` and its value per pair, since a run on a
+briefly faster host reads faster after rescaling; the summary names every
+run that reported `failed` > 0.  `--claim METRIC` adds the verdict on a
 claimed gain in METRIC ("claim met" or "claim not met", see `claim`).
 `--json PATH` writes the same summary, with each pair's values and any
 claim, under the workload's name in the JSON object at PATH, keeping what
@@ -48,14 +51,16 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_tree(tree: str, workload: str, seed: int) -> str:
-    """The result line of one untraced run.py call in `tree`, with its host_factor."""
+    """The result line of one untraced run.py call in `tree`, with its host_factor and raw medians."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{tree}: run.py exited with code {proc.returncode} at seed {seed}")
-    return json.dumps({**json.loads(lines[-1]), "host_factor": json.loads(lines[-2])["host_factor"]})
+    detail = json.loads(lines[-2])
+    return json.dumps({**json.loads(lines[-1]), "host_factor": detail["host_factor"],
+                       "medians": detail["medians"]})
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -109,8 +114,9 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
     """Per-metric statistics of (parent, change) result lines.
 
     `better` maps metric -> 'higher'/'lower'; a metric named in `bounds`
-    also gets its bound and verdict, and the metric `claimed` a "claim"
-    entry (see `claim`).
+    also gets its bound and verdict, a metric found in every run's raw
+    `medians` a "raw" entry with each tree's median of them and their
+    ratio, and the metric `claimed` a "claim" entry (see `claim`).
     """
     results = [(json.loads(p), json.loads(c)) for p, c in pairs]
     metrics = {}
@@ -130,6 +136,10 @@ def summary(pairs: list[tuple[str, str]], better: dict[str, str],
             "median_gap": mc - mp, "parent_iqr": sp["q3"] - sp["q1"]}
         if bounds and name in bounds:
             metrics[name].update(bound=bounds[name], verdict=verdict(par, chg, direction, bounds[name]))
+        if all(name in r.get("medians", {}) for pair in results for r in pair):
+            rp, rc = (statistics.median(pair[i]["medians"][name] for pair in results) for i in (0, 1))
+            metrics[name]["raw"] = {"parent": rp, "change": rc,
+                                    "ratio_of_medians": rc / rp if rp else float("nan")}
         if name == claimed:
             metrics[name]["claim"] = claim(metrics[name], len(results))
     failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
@@ -156,6 +166,10 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
                      f" ({m['ties']} ties); median gap {m['median_gap']:.6g},"
                      f" parent IQR {m['parent_iqr']:.6g}")
         lines.append("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
+        if "raw" in m:
+            raw = m["raw"]
+            lines.append(f"  raw medians, not rescaled: parent {raw['parent']:.6g}"
+                         f"  change {raw['change']:.6g}  ratio of medians {raw['ratio_of_medians']:.4f}")
         if "verdict" in m:
             lines.append(f"  verdict: {m['verdict']} (bound {m['bound']:g})")
         if "claim" in m:

@@ -7,7 +7,7 @@ pointwise mutual information.
 """
 
 from .autodiff import Tensor, backward
-from .bounds import cubo, elbo, iwae, joint_bound, unimodal_marginal
+from .bounds import joint_bound, unimodal_marginal
 from .data import FactorSpec, PairedDataset, generate_unimodal, pair_random, pair_related, subset
 from .distributions import DiagonalGaussian, FactorBernoulli, gaussian_log_prob, gaussian_product, rsample
 from .models import ModalitySpec, MultimodalModel, build_model
@@ -17,7 +17,7 @@ from .training import RunConfig, TrainState, run_pipeline, train
 
 __all__ = [
     "Tensor", "backward",
-    "elbo", "iwae", "cubo", "joint_bound", "unimodal_marginal",
+    "joint_bound", "unimodal_marginal",
     "FactorSpec", "PairedDataset", "generate_unimodal", "pair_related", "pair_random", "subset",
     "DiagonalGaussian", "FactorBernoulli", "gaussian_log_prob", "gaussian_product", "rsample",
     "ModalitySpec", "MultimodalModel", "build_model",

@@ -132,16 +132,6 @@ class Tensor:
     def __neg__(self):
         return Tensor(-self.value, parents=((self, lambda g: -g),))
 
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self.value, other.value
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeMismatchError("matmul", a.shape, b.shape)
-        return Tensor(a @ b, parents=(
-            (self, lambda g: g @ b.T),
-            (other, lambda g: a.T @ g),
-        ))
-
     # -- elementwise nonlinearities ---------------------------------------------
 
     def exp(self):
@@ -155,15 +145,6 @@ class Tensor:
     def tanh(self):
         out = np.tanh(self.value)
         return Tensor(out, parents=((self, lambda g: g * (1.0 - out * out)),))
-
-    def sigmoid(self):
-        out = 1.0 / (1.0 + np.exp(-self.value))
-        return Tensor(out, parents=((self, lambda g: g * out * (1.0 - out)),))
-
-    def clamp(self, lo: float, hi: float):
-        """Elementwise clip; gradient passes only where the value was kept."""
-        mask = ((self.value > lo) & (self.value < hi)).astype(np.float64)
-        return Tensor(np.clip(self.value, lo, hi), parents=((self, lambda g: g * mask),))
 
     def floor_at(self, lo: float):
         """Elementwise maximum with a constant; gradient passes where above."""

@@ -1,11 +1,16 @@
 """Estimators of the log joint marginal likelihood.
 
-Three interchangeable approximations: the single/multi-sample ELBO, the
-importance-weighted K-sample lower bound (IWAE), and a chi-square-style
-upper-bound estimator (CUBO) computed as half the log of the mean squared
-importance weight.  The CUBO form here keeps the expectation outside the
-log of the sample average, which is a biased estimate of the true
-chi-square bound; the bias vanishes as K grows.
+Observations travel as a dict keyed by modality name, name -> (B, D)
+rows, with row b of every modality forming item b; no estimator binds
+arrays to modalities by position.  `joint_bound(model, obs, kind, K,
+seed)` reduces K importance weights per item to one of three
+interchangeable estimates: the multi-sample ELBO, the importance-weighted
+K-sample lower bound (IWAE), and a chi-square-style upper-bound estimator
+(CUBO) computed as half the log of the mean squared importance weight.
+The CUBO form here keeps the expectation outside the log of the sample
+average, which is a biased estimate of the true chi-square bound; the
+bias vanishes as K grows.  `unimodal_marginal` is the IWAE of one
+modality alone, from that modality's `unimodal_draws`.
 
 All estimators return per-item values; batch reductions belong to the
 objective layer.  Per-item sampling noise is keyed on item content, so
@@ -32,6 +37,7 @@ from .distributions import (DiagonalGaussian, mixture_log_density, pairwise_log_
                             standard_normal_log_prob)
 from .models import mixture_split
 from .seeding import per_row_normal
+
 
 def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
                       pairs: dict | None = None) -> Tensor:
@@ -81,26 +87,6 @@ def joint_bound(model, obs_by_modality: dict, kind: str, num_samples: int, seed:
     return bound_from_log_weights(joint_log_weights(model, obs_by_modality, num_samples, seed), kind)
 
 
-def _pair_obs(model, x, y) -> dict:
-    a, b = model.modalities
-    return {a.name: x, b.name: y}
-
-
-def elbo(model, x, y, num_samples: int, seed: int) -> Tensor:
-    """Per-item multi-sample ELBO, (1/S) sum_s [log p(z_s, x, y) - log q(z_s | x, y)]."""
-    return joint_bound(model, _pair_obs(model, x, y), "elbo", num_samples, seed)
-
-
-def iwae(model, x, y, num_samples: int, seed: int) -> Tensor:
-    """Per-item K-sample importance-weighted bound, logsumexp_k(log w_k) - log K."""
-    return joint_bound(model, _pair_obs(model, x, y), "iwae", num_samples, seed)
-
-
-def cubo(model, x, y, num_samples: int, seed: int) -> Tensor:
-    """Per-item upper-bound estimate, (logsumexp_k(2 log w_k) - log K) / 2."""
-    return joint_bound(model, _pair_obs(model, x, y), "cubo", num_samples, seed)
-
-
 @dataclass(frozen=True)
 class UnimodalDraws:
     """S draws per row from one modality's unimodal posterior, with the parts of their log weights.
@@ -119,7 +105,6 @@ class UnimodalDraws:
 
 
 def unimodal_draws(model, name: str, obs, num_samples: int, seed: int) -> UnimodalDraws:
-    model.modality(name)  # raises UnknownModalityError for bad names
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     q = model.encode_unimodal(name, obs).per_row()
     noise = per_row_normal(seed, f"joint_posterior.{name}", obs, (num_samples, model.latent_dim))
@@ -129,21 +114,12 @@ def unimodal_draws(model, name: str, obs, num_samples: int, seed: int) -> Unimod
                          log_q=q.log_prob(z))
 
 
-def unimodal_marginal(model, name: str, obs, num_samples: int, seed: int,
-                      draws: UnimodalDraws | None = None) -> Tensor:
-    """IWAE estimate of one modality's marginal log-likelihood.
+def unimodal_marginal(draws: UnimodalDraws) -> Tensor:
+    """IWAE estimate of one modality's marginal log-likelihood from its unimodal_draws.
 
-    Uses the unimodal encoder as the proposal and only that modality's
-    decoder likelihood in the weights, at unimodal_draws(model, name, obs,
-    num_samples, seed).  A caller that already holds those draws passes
-    them as `draws`; they must have one row per row of obs and num_samples
-    draws per row.
+    The unimodal encoder is the proposal, and only that modality's decoder
+    likelihood enters the weights.
     """
-    if draws is None:
-        draws = unimodal_draws(model, name, obs, num_samples, seed)
-    elif draws.z.shape[:2] != (np.atleast_2d(obs).shape[0], num_samples):
-        raise ValueError(f"draws of shape {draws.z.shape[:2]} do not match "
-                         f"{np.atleast_2d(obs).shape[0]} rows x {num_samples} samples")
     return bound_from_log_weights(draws.log_prior + draws.log_lik - draws.log_q, "iwae")
 
 

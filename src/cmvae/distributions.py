@@ -58,7 +58,9 @@ class FactorBernoulli:
 
     @property
     def mean(self) -> Tensor:
-        return self.logits.clamp(-LOGIT_CLAMP, LOGIT_CLAMP).sigmoid()
+        """Success probabilities as a constant: no path differentiates them."""
+        lo = np.clip(self.logits.value, -LOGIT_CLAMP, LOGIT_CLAMP)
+        return Tensor.const(1.0 / (1.0 + np.exp(-lo)))
 
     def log_prob(self, value) -> Tensor:
         """Sum of per-coordinate Bernoulli log-likelihoods.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, affine
 from .data import mixing_maps
 from .distributions import DiagonalGaussian
 from .models import ModalitySpec, MultimodalModel
@@ -106,19 +106,19 @@ class LinearGaussianOracle:
         a = self.loadings[name]
         return a @ a.T + self.noise_var * np.eye(a.shape[0])
 
-    def exact_logp(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def exact_logp(self, obs_by_name: dict[str, np.ndarray]) -> np.ndarray:
         """Closed-form joint log-density, per row."""
-        joint = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=1)
+        joint = np.concatenate([np.atleast_2d(obs_by_name[n]) for n in self.names], axis=1)
         return _gaussian_logpdf(joint, self.joint_covariance())
 
     def exact_marginal_logp(self, name: str, obs: np.ndarray) -> np.ndarray:
         return _gaussian_logpdf(np.atleast_2d(obs), self.marginal_covariance(name))
 
-    def exact_pmi(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        names = self.names
-        return (self.exact_logp(x, y)
-                - self.exact_marginal_logp(names[0], x)
-                - self.exact_marginal_logp(names[1], y))
+    def exact_pmi(self, obs_by_name: dict[str, np.ndarray]) -> np.ndarray:
+        out = self.exact_logp(obs_by_name)
+        for name in self.names:
+            out = out - self.exact_marginal_logp(name, obs_by_name[name])
+        return out
 
     def posterior(self, obs_by_name: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Exact p(z | given modalities): (mean (B, L), var (L,)), diagonal."""
@@ -185,7 +185,7 @@ class AnalyticLinearModel(MultimodalModel):
     def decode(self, name: str, z: Tensor):
         a = self.oracle.loadings[name]
         flat = z.reshape(-1, self.latent_dim) if z.ndim == 3 else z
-        mean = flat @ Tensor.const(a.T)
+        mean = affine(flat, Tensor.const(a.T), Tensor.const(np.zeros(a.shape[0])))
         mean = mean.reshape(z.shape[:-1] + (a.shape[0],))
         log_var = Tensor.const(np.full(a.shape[0], np.log(self.oracle.noise_var)))
         return DiagonalGaussian(mean=mean, log_var=log_var)

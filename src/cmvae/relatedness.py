@@ -1,11 +1,12 @@
 """Relatedness scoring and label propagation.
 
-A trained model scores a pair by pointwise mutual information,
-iwae(x, y) - marginal(x) - marginal(y).  Every term keys its noise on item
-content, so a pair's score does not depend on its chunk or batch up to
-BLAS rounding (a matrix product may round the last bits of a row
-differently at another number of rows); a mixture model's three terms
-share one draw block per modality row.  A threshold fitted on a small
+A trained model scores a pair by pointwise mutual information, the joint
+IWAE of its observations minus each modality's unimodal marginal, with
+the observations keyed by modality name (see bounds).  Every term keys
+its noise on item content, so a pair's score does not depend on its chunk
+or batch up to BLAS rounding (a matrix product may round the last bits of
+a row differently at another number of rows); a mixture model's three
+terms share one draw block per modality row.  A threshold fitted on a small
 mixed set with known relatedness then flags related pairs in the
 unlabeled remainder; the flagged pairs rejoin the training set for a
 continuation run.
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import (bound_from_log_weights, iwae, mixture_joint_log_weights, unimodal_draws,
+from .bounds import (bound_from_log_weights, joint_bound, mixture_joint_log_weights, unimodal_draws,
                      unimodal_marginal)
 from .data import PairedDataset, random_pairs, subset, subset_rows
 
@@ -93,23 +94,22 @@ class PropagationReport:
         }
 
 
-def pmi(model, x, y, num_samples: int, seed: int) -> np.ndarray:
+def pmi(model, obs_by_modality: dict, num_samples: int, seed: int) -> np.ndarray:
     """Per-item pointwise mutual information estimate (detached values).
 
-    A mixture model draws each modality row once: its unimodal marginal
-    uses all S draws, and the joint uses the first S/M of every modality's
-    draws, which are the mixture posterior's own (see UnimodalDraws).
-    Other models compose three estimates that share one seed.
+    Each modality's rows are drawn once, and its unimodal marginal uses all
+    S draws.  A mixture model's joint uses the first S/M of every
+    modality's draws, which are the mixture posterior's own (see
+    UnimodalDraws); other models estimate the joint apart, at the same seed.
     """
     names = [m.name for m in model.modalities]
-    obs = dict(zip(names, (x, y)))
+    draws = {n: unimodal_draws(model, n, obs_by_modality[n], num_samples, seed) for n in names}
     if model.joint_kind == "moe":
-        draws = {n: unimodal_draws(model, n, obs[n], num_samples, seed) for n in names}
-        joint = bound_from_log_weights(mixture_joint_log_weights(model, obs, draws, num_samples), "iwae")
+        log_w = mixture_joint_log_weights(model, obs_by_modality, draws, num_samples)
+        joint = bound_from_log_weights(log_w, "iwae")
     else:
-        draws = dict.fromkeys(names)
-        joint = iwae(model, x, y, num_samples, seed)
-    mx, my = (unimodal_marginal(model, n, obs[n], num_samples, seed, draws[n]).value for n in names)
+        joint = joint_bound(model, obs_by_modality, "iwae", num_samples, seed)
+    mx, my = (unimodal_marginal(draws[n]).value for n in names)
     return joint.value - mx - my
 
 
@@ -181,11 +181,9 @@ def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,
     processes (`map_chunks`) at all.
     """
     model = model.frozen()
-    names = list(ds.spec.modality_names)
 
     def score(start, stop):
-        obs = ds.pair_observations(np.arange(start, stop))
-        return pmi(model, obs[names[0]], obs[names[1]], num_samples, seed)
+        return pmi(model, ds.pair_observations(np.arange(start, stop)), num_samples, seed)
 
     return map_chunks(score, len(ds), chunk)
 

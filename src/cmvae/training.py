@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluation, relatedness
 from .autodiff import Tensor, backward
-from .bounds import iwae
+from .bounds import joint_bound
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
 from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model, mixture_split
@@ -499,15 +499,14 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
                         heldout: HeldOut | None = None) -> float:
     """IWAE estimate of the joint log-likelihood on held-out related pairs, in chunks like score_dataset."""
     related = (heldout or heldout_sets(cfg)).related
-    names = list(related.spec.modality_names)
     obs = related.pair_observations()
-    x, y = obs[names[0]], obs[names[1]]
     frozen = model.frozen()
 
     def score(start, stop):
-        return iwae(frozen, x[start:stop], y[start:stop], num_samples, cfg.seed + 13).value
+        rows = {n: v[start:stop] for n, v in obs.items()}
+        return joint_bound(frozen, rows, "iwae", num_samples, cfg.seed + 13).value
 
-    return float(relatedness.map_chunks(score, len(x)).mean())
+    return float(relatedness.map_chunks(score, len(related)).mean())
 
 
 # -- experiment drivers -----------------------------------------------------------------------

@@ -78,9 +78,10 @@ def test_host_factor_of_each_run_is_kept_and_summarised(tmp_path):
               "metrics": {"pipeline_s": {"value": 0.6, "unit": "s"}}}
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
-        "print('{\"medians\": {}, \"host_factor\": 1.25, \"failed_checks\": []}')\n"
+        "print('{\"medians\": {\"pipeline_s\": 0.5}, \"host_factor\": 1.25, \"failed_checks\": []}')\n"
         f"print({json.dumps(result)!r})\n")
-    assert json.loads(bench_ab.run_tree(str(tmp_path), "propagate", 0)) == {**result, "host_factor": 1.25}
+    assert json.loads(bench_ab.run_tree(str(tmp_path), "propagate", 0)) == {
+        **result, "host_factor": 1.25, "medians": {"pipeline_s": 0.5}}
     pairs = [(result_line(100.0, 5.0, host_factor=h), result_line(100.0, 5.0, host_factor=c))
              for h, c in ((1.6, 1.16), (1.7, 1.28), (1.5, 1.62))]
     host = bench_ab.summary(pairs, {"train_pairs_per_s": "higher"})["host_factor"]
@@ -150,3 +151,25 @@ def test_claim_not_met_inside_the_parent_spread():
     assert not c["met"] and not c["gap_beyond_iqr"] and c["parent_iqr"] > c["median_gap"]
     assert any(line.startswith("  claim not met: change wins 10/10 (needs 9), median gap 845 inside")
                for line in lines)
+
+
+def test_raw_medians_ratio_is_reported_for_timing_metrics_only():
+    # rescaled rates read 10% faster only because the change ran at a larger host_factor;
+    # the raw medians show the trees equal
+    def line(rate, host_factor):
+        return json.dumps({"failed": 0, "host_factor": host_factor, "medians": {"train_pairs_per_s": 100.0},
+                           "metrics": {"train_pairs_per_s": {"value": rate, "unit": "pairs/s"},
+                                       "heldout_iwae_nll": {"value": 5.0, "unit": "nats"}}})
+
+    pairs = [(line(150.0, 1.5), line(165.0, 1.65)), (line(160.0, 1.6), line(176.0, 1.76))]
+    better = {"train_pairs_per_s": "higher", "heldout_iwae_nll": "lower"}
+    bounds = {"train_pairs_per_s": 0.25, "heldout_iwae_nll": 0.2}
+    metrics = bench_ab.summary(pairs, better, bounds)["metrics"]
+    rate = metrics["train_pairs_per_s"]
+    assert rate["ratio_of_medians"] > 1.09
+    assert rate["raw"] == {"parent": 100.0, "change": 100.0, "ratio_of_medians": 1.0}
+    assert "raw" not in metrics["heldout_iwae_nll"]
+    lines = bench_ab.summarize(pairs, better, bounds)
+    at = lines.index("  raw medians, not rescaled: parent 100  change 100  ratio of medians 1.0000")
+    assert lines[at + 1] == "  verdict: within bound (bound 0.25)"
+    assert sum("raw medians" in line for line in lines) == 1

@@ -4,11 +4,9 @@ import pytest
 from cmvae.autodiff import Tensor, backward
 from cmvae.bounds import (
     bound_from_log_weights,
-    cubo,
-    elbo,
-    iwae,
     joint_bound,
     joint_log_weights,
+    unimodal_draws,
     unimodal_marginal,
 )
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
@@ -23,8 +21,7 @@ def oracle():
 
 @pytest.fixture(scope="module")
 def oracle_pairs(oracle):
-    pairs = oracle.sample_pairs(200, seed=11)
-    return pairs["m1"], pairs["m2"]
+    return oracle.sample_pairs(200, seed=11)
 
 
 def test_joint_bound_validation():
@@ -38,11 +35,10 @@ def test_joint_bound_validation():
 
 
 def test_exact_posterior_bounds_are_exact(oracle, oracle_pairs):
-    x, y = oracle_pairs
     model = AnalyticLinearModel(oracle)
-    exact = oracle.exact_logp(x, y)
-    for fn in (elbo, iwae, cubo):
-        est = fn(model, x, y, 8, seed=5).value
+    exact = oracle.exact_logp(oracle_pairs)
+    for kind in ("elbo", "iwae", "cubo"):
+        est = joint_bound(model, oracle_pairs, kind, 8, seed=5).value
         assert np.abs(est - exact).max() < 1e-9
 
 
@@ -55,8 +51,7 @@ def test_unit_model_elbo_constant():
     for k, p in model.params.items():
         if k.startswith("dec."):
             p.value = np.zeros_like(p.value)
-    x = np.zeros((1, 1))
-    val = elbo(model, x, x, 4, seed=1).value[0]
+    val = joint_bound(model, {"m1": np.zeros((1, 1)), "m2": np.zeros((1, 1))}, "elbo", 4, seed=1).value[0]
     assert val == pytest.approx(-1.837877, abs=1e-6)
 
 
@@ -64,42 +59,34 @@ def test_k1_reductions_agree():
     mods = [ModalitySpec("m1", 3, "bernoulli"), ModalitySpec("m2", 3, "gaussian")]
     model = build_model(mods, latent_dim=2, hidden_dim=8, joint_kind="poe", seed=1)
     rng = np.random.default_rng(0)
-    x = rng.uniform(size=(6, 3))
-    y = rng.standard_normal((6, 3))
-    e = elbo(model, x, y, 1, seed=7).value
-    i = iwae(model, x, y, 1, seed=7).value
-    c = cubo(model, x, y, 1, seed=7).value
+    obs = {"m1": rng.uniform(size=(6, 3)), "m2": rng.standard_normal((6, 3))}
+    e, i, c = (joint_bound(model, obs, kind, 1, seed=7).value for kind in ("elbo", "iwae", "cubo"))
     assert np.array_equal(e, i)
     assert np.allclose(c, e, atol=1e-12)
 
 
 def test_elbo_below_oracle_logp(oracle, oracle_pairs):
-    x, y = oracle_pairs
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7)
-    est = elbo(model, x, y, 30, seed=3).value
-    exact = oracle.exact_logp(x, y)
+    est = joint_bound(model, oracle_pairs, "elbo", 30, seed=3).value
+    exact = oracle.exact_logp(oracle_pairs)
     diff = exact - est
     assert diff.mean() > 3 * diff.std(ddof=1) / np.sqrt(len(diff))
 
 
 def test_sandwich_ordering(oracle, oracle_pairs):
-    x, y = oracle_pairs
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7)
-    exact = oracle.exact_logp(x, y)
-    e = elbo(model, x, y, 30, seed=5).value
-    i = iwae(model, x, y, 30, seed=5).value
-    c = cubo(model, x, y, 30, seed=5).value
+    exact = oracle.exact_logp(oracle_pairs)
+    e, i, c = (joint_bound(model, oracle_pairs, kind, 30, seed=5).value for kind in ("elbo", "iwae", "cubo"))
     for low, high in ((e, i), (i, exact), (exact, c)):
         diff = high - low
         assert diff.mean() > 3 * diff.std(ddof=1) / np.sqrt(len(diff))
 
 
 def test_iwae_nondecreasing_in_k(oracle, oracle_pairs):
-    x, y = oracle_pairs
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7)
     means, ses = [], []
     for k in (1, 5, 30):
-        est = iwae(model, x, y, k, seed=9).value
+        est = joint_bound(model, oracle_pairs, "iwae", k, seed=9).value
         means.append(est.mean())
         ses.append(est.std(ddof=1) / np.sqrt(len(est)))
     assert means[1] >= means[0] - 3 * (ses[0] + ses[1])
@@ -112,11 +99,10 @@ def test_batch_permutation_invariance():
     mods = [ModalitySpec("m1", 3, "bernoulli"), ModalitySpec("m2", 3, "gaussian")]
     model = build_model(mods, latent_dim=2, hidden_dim=8, joint_kind="moe", seed=2)
     rng = np.random.default_rng(1)
-    x = rng.uniform(size=(8, 3))
-    y = rng.standard_normal((8, 3))
+    obs = {"m1": rng.uniform(size=(8, 3)), "m2": rng.standard_normal((8, 3))}
     perm = rng.permutation(8)
-    base = iwae(model, x, y, 4, seed=13).value
-    shuffled = iwae(model, x[perm], y[perm], 4, seed=13).value
+    base = joint_bound(model, obs, "iwae", 4, seed=13).value
+    shuffled = joint_bound(model, {n: v[perm] for n, v in obs.items()}, "iwae", 4, seed=13).value
     assert np.array_equal(base[perm], shuffled)
 
 
@@ -124,12 +110,11 @@ def test_deterministic_under_seed():
     mods = [ModalitySpec("m1", 3, "bernoulli"), ModalitySpec("m2", 3, "gaussian")]
     model = build_model(mods, latent_dim=2, hidden_dim=8, joint_kind="moe", seed=2)
     rng = np.random.default_rng(2)
-    x = rng.uniform(size=(5, 3))
-    y = rng.standard_normal((5, 3))
-    assert np.array_equal(iwae(model, x, y, 4, seed=21).value,
-                          iwae(model, x, y, 4, seed=21).value)
-    assert not np.array_equal(iwae(model, x, y, 4, seed=21).value,
-                              iwae(model, x, y, 4, seed=22).value)
+    obs = {"m1": rng.uniform(size=(5, 3)), "m2": rng.standard_normal((5, 3))}
+    assert np.array_equal(joint_bound(model, obs, "iwae", 4, seed=21).value,
+                          joint_bound(model, obs, "iwae", 4, seed=21).value)
+    assert not np.array_equal(joint_bound(model, obs, "iwae", 4, seed=21).value,
+                              joint_bound(model, obs, "iwae", 4, seed=22).value)
 
 
 def test_estimator_gradients_match_finite_differences():
@@ -150,7 +135,7 @@ def test_unimodal_marginal_oracle_value(oracle):
     a = np.array([[1.0]])
     simple = LinearGaussianOracle(loadings={"m1": a, "m2": a}, noise_var=1.0)
     model = AnalyticLinearModel(simple)
-    est = unimodal_marginal(model, "m1", np.zeros((1, 1)), 8, seed=5).value[0]
+    est = unimodal_marginal(unimodal_draws(model, "m1", np.zeros((1, 1)), 8, seed=5)).value[0]
     expect = -0.5 * np.log(2 * np.pi * 2.0)
     assert est == pytest.approx(expect, abs=1e-9)  # exact proposal -> zero variance
     assert est == pytest.approx(-1.265512, abs=5e-7)
@@ -164,30 +149,29 @@ def test_unimodal_marginal_decoder_ignoring_z():
             p.value = np.zeros_like(p.value)
     obs = np.array([[0.3, -0.2]])
     for k in (1, 7):
-        est = unimodal_marginal(model, "m1", obs, k, seed=3).value[0]
+        est = unimodal_marginal(unimodal_draws(model, "m1", obs, k, seed=3)).value[0]
         expect = np.sum(-0.5 * (np.log(2 * np.pi) + obs ** 2))
         assert est == pytest.approx(expect, abs=1e-12)
 
 
 def test_unimodal_marginal_k_ordering(oracle, oracle_pairs):
-    x, _ = oracle_pairs
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7)
-    one = unimodal_marginal(model, "m1", x, 1, seed=19).value.mean()
-    thirty = unimodal_marginal(model, "m1", x, 30, seed=19).value.mean()
+    one, thirty = (unimodal_marginal(unimodal_draws(model, "m1", oracle_pairs["m1"], k, seed=19)).value.mean()
+                   for k in (1, 30))
     assert thirty >= one
 
 
 def test_unimodal_marginal_unknown_modality(oracle):
     model = AnalyticLinearModel(oracle)
     with pytest.raises(KeyError):
-        unimodal_marginal(model, "m3", np.zeros((1, 2)), 2, seed=0)
+        unimodal_draws(model, "m3", np.zeros((1, 2)), 2, seed=0)
 
 
 def test_unknown_modality_on_trained_model():
     mods = [ModalitySpec("m1", 2, "gaussian"), ModalitySpec("m2", 2, "gaussian")]
     model = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind="poe", seed=4)
     with pytest.raises(UnknownModalityError):
-        unimodal_marginal(model, "m9", np.zeros((1, 2)), 2, seed=0)
+        unimodal_draws(model, "m9", np.zeros((1, 2)), 2, seed=0)
 
 
 def test_bound_from_log_weights_shapes():
@@ -205,8 +189,7 @@ def test_bound_from_log_weights_shapes():
 
 def moe_oracle_pairs(seed, items=400):
     oracle = make_oracle(obs_dims=(4, 4), latent_dim=2, noise_var=1.0, loading_scale=2.0, seed=seed)
-    pairs = oracle.sample_pairs(items, seed + 1)
-    return oracle, pairs["m1"], pairs["m2"]
+    return oracle, oracle.sample_pairs(items, seed + 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -214,22 +197,20 @@ def test_moe_sandwich_resolves_against_exact(seed):
     # The exact unimodal posteriors, perturbed and mixed by
     # MultimodalModel.joint_posterior_samples: ELBO < IWAE < exact < CUBO,
     # each paired gap beyond three standard errors.
-    oracle, x, y = moe_oracle_pairs(seed)
+    oracle, obs = moe_oracle_pairs(seed)
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7, joint_kind="moe")
-    exact = oracle.exact_logp(x, y)
-    chain = [elbo(model, x, y, 30, seed).value, iwae(model, x, y, 30, seed).value,
-             exact, cubo(model, x, y, 30, seed).value]
+    elbo, iwae, cubo = (joint_bound(model, obs, kind, 30, seed).value for kind in ("elbo", "iwae", "cubo"))
+    chain = [elbo, iwae, oracle.exact_logp(obs), cubo]
     for low, high in zip(chain, chain[1:]):
         diff = high - low
         assert diff.mean() > 3 * diff.std(ddof=1) / np.sqrt(len(diff))
 
 
 def test_moe_pairs_path_equals_gathered_rows():
-    oracle, x, y = moe_oracle_pairs(0, items=40)
+    oracle, obs = moe_oracle_pairs(0, items=40)
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.7, joint_kind="moe")
     rng = np.random.default_rng(3)
     pairs = {"m1": rng.integers(0, 40, 90), "m2": rng.integers(0, 40, 90)}  # rows repeat
-    obs = {"m1": x, "m2": y}
     via_pairs = joint_log_weights(model, obs, 30, 5, pairs=pairs).value
     direct = joint_log_weights(model, {n: obs[n][rows] for n, rows in pairs.items()}, 30, 5).value
     assert via_pairs.shape == (90, 30)

@@ -202,6 +202,21 @@ def test_propagate_writes_report(tmp_path):
     assert lines[2].startswith("before,") and lines[3].startswith("after,")
 
 
+def test_unsorted_modality_names_train_eval_and_propagate(tmp_path):
+    # The model orders modalities by name; unequal dims fail loudly if rows reach
+    # the other modality's networks.
+    cfg, path = tiny_config_file(tmp_path, steps=20)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["dataset"]["factors"].update(modality_names=["b", "a"], obs_dims=[16, 12])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--checkpoint", os.path.join(cfg.output_dir, "t.ckpt"), "--config", path]) == 0
+    assert main(["propagate", "--config", path, "--pretrain-percent", "30",
+                 "--variant", "cI", "--pmi-samples", "4"]) == 0
+
+
 def test_oracle_check_passes(capsys):
     assert main(["oracle-check", "--items", "200", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -46,7 +46,7 @@ def test_exact_logp_factorized_limit():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 2))
     y = rng.standard_normal((5, 2))
-    joint = oracle.exact_logp(x, y)
+    joint = oracle.exact_logp({"m1": x, "m2": y})
     split = oracle.exact_marginal_logp("m1", x) + oracle.exact_marginal_logp("m2", y)
     assert np.allclose(joint, split, atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_exact_pmi_matches_correlation_formula():
     oracle = LinearGaussianOracle(loadings={"m1": a, "m2": a}, noise_var=1.0)
     rho = 4.0 / 5.0
     expect = -0.5 * math.log(1 - rho ** 2)
-    got = oracle.exact_pmi(np.zeros((1, 1)), np.zeros((1, 1)))[0]
+    got = oracle.exact_pmi({"m1": np.zeros((1, 1)), "m2": np.zeros((1, 1))})[0]
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(0.510826, abs=5e-7)
 
@@ -76,9 +76,7 @@ def test_exact_logp_integrates_to_one_2d():
     oracle = LinearGaussianOracle(loadings={"m1": a, "m2": a}, noise_var=1.0)
     grid = np.linspace(-14.0, 14.0, 561)
     xs, ys = np.meshgrid(grid, grid)
-    rows_x = xs.reshape(-1, 1)
-    rows_y = ys.reshape(-1, 1)
-    dens = np.exp(oracle.exact_logp(rows_x, rows_y)).reshape(xs.shape)
+    dens = np.exp(oracle.exact_logp({"m1": xs.reshape(-1, 1), "m2": ys.reshape(-1, 1)})).reshape(xs.shape)
     h = grid[1] - grid[0]
     assert dens.sum() * h * h == pytest.approx(1.0, abs=1e-3)
 

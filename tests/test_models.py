@@ -203,17 +203,17 @@ def test_modality_order_is_canonical():
 
 
 def test_frozen_view_shares_values_and_records_no_graph():
-    from cmvae.bounds import iwae
+    from cmvae.bounds import joint_bound
     model = two_modality_model(seed=21)
     rng = np.random.default_rng(9)
     for p in model.params.values():
         p.value = p.value + 0.2 * rng.standard_normal(p.value.shape)
-    x, y = rng.uniform(size=(5, 6)), rng.standard_normal((5, 6))
+    obs = {"m1": rng.uniform(size=(5, 6)), "m2": rng.standard_normal((5, 6))}
     frozen = model.frozen()
     assert all(frozen.params[k].value is p.value for k, p in model.params.items())
-    est = iwae(frozen, x, y, 4, seed=2)
+    est = joint_bound(frozen, obs, "iwae", 4, seed=2)
     assert not est.requires_grad
-    assert np.array_equal(est.value, iwae(model, x, y, 4, seed=2).value)
+    assert np.array_equal(est.value, joint_bound(model, obs, "iwae", 4, seed=2).value)
 
 
 def test_moe_draws_keyed_per_modality_row():

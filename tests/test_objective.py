@@ -354,7 +354,7 @@ def test_pmi_and_objective_reach_the_one_mixture_path(monkeypatch):
     model = perturbed_model(seed=2)
     obs = pair_batch(model, 6, seed=3)
     final_objective(model, obs, ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4), 1)
-    relatedness.pmi(model, obs["m1"], obs["m2"], 4, seed=1)
+    relatedness.pmi(model, obs, 4, seed=1)
     assert calls == [True, False]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmvae.bounds import (bound_from_log_weights, iwae, joint_log_weights, mixture_joint_log_weights,
+from cmvae.bounds import (bound_from_log_weights, joint_bound, joint_log_weights, mixture_joint_log_weights,
                           unimodal_draws, unimodal_marginal)
 from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair_random, subset, subset_rows
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
@@ -38,9 +38,7 @@ def test_pmi_exact_zero_for_factorized_constant_weights():
                                   noise_var=1.5)
     model = AnalyticLinearModel(oracle)  # exact posterior == prior, weights constant
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((40, 2))
-    y = rng.standard_normal((40, 2))
-    vals = pmi(model, x, y, 8, seed=3)
+    vals = pmi(model, {"m1": rng.standard_normal((40, 2)), "m2": rng.standard_normal((40, 2))}, 8, seed=3)
     # constant weights: zero up to float associativity across the three terms
     assert np.abs(vals).max() < 1e-12
 
@@ -50,15 +48,14 @@ def test_pmi_factorized_monte_carlo_small():
                                   noise_var=1.5)
     model = AnalyticLinearModel(oracle, scale=0.9, shift=0.3)  # non-constant weights
     rng = np.random.default_rng(1)
-    x = np.sqrt(1.5) * rng.standard_normal((300, 2))
-    y = np.sqrt(1.5) * rng.standard_normal((300, 2))
-    vals = pmi(model, x, y, 30, seed=5)
+    obs = {n: np.sqrt(1.5) * rng.standard_normal((300, 2)) for n in ("m1", "m2")}
+    vals = pmi(model, obs, 30, seed=5)
     assert abs(vals.mean()) < 0.05
 
 
 def test_pmi_bivariate_correlation_value():
     model = AnalyticLinearModel(bivariate_oracle())
-    val = pmi(model, np.zeros((1, 1)), np.zeros((1, 1)), 30, seed=7)[0]
+    val = pmi(model, {"m1": np.zeros((1, 1)), "m2": np.zeros((1, 1))}, 30, seed=7)[0]
     # exact encoders give constant weights: the estimate is exact
     assert val == pytest.approx(-0.5 * math.log(1 - 0.8 ** 2), abs=1e-9)
     assert val == pytest.approx(0.510826, abs=5e-7)
@@ -69,8 +66,8 @@ def test_pmi_symmetric_with_exact_encoders():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((20, 1))
     y = rng.standard_normal((20, 1))
-    fwd = pmi(model, x, y, 16, seed=9)
-    swapped = pmi(model, y, x, 16, seed=9)
+    fwd = pmi(model, {"m1": x, "m2": y}, 16, seed=9)
+    swapped = pmi(model, {"m1": y, "m2": x}, 16, seed=9)
     assert np.allclose(fwd, swapped, atol=1e-9)
 
 
@@ -90,33 +87,25 @@ def perturbed_model(likelihoods, joint_kind="moe", seed=1, obs_dims=(5, 4)):
 
 def random_pairs(model, n, seed):
     rng = np.random.default_rng(seed)
-    return [rng.uniform(size=(n, m.obs_dim)) if m.likelihood == "bernoulli"
-            else rng.standard_normal((n, m.obs_dim)) for m in model.modalities]
+    return {m.name: rng.uniform(size=(n, m.obs_dim)) if m.likelihood == "bernoulli"
+            else rng.standard_normal((n, m.obs_dim)) for m in model.modalities}
 
 
 @pytest.mark.parametrize("likelihoods", LIKELIHOOD_PAIRS)
 def test_moe_pmi_terms_match_separate_estimators(likelihoods):
     model = perturbed_model(likelihoods)
-    x, y = random_pairs(model, 9, seed=2)
-    names = ("m1", "m2")
-    obs = dict(zip(names, (x, y)))
+    obs = random_pairs(model, 9, seed=2)
     draws = {n: unimodal_draws(model, n, obs[n], 6, seed=3) for n in obs}
     log_w = mixture_joint_log_weights(model, obs, draws, 6)
     assert np.array_equal(log_w.value, joint_log_weights(model, obs, 6, seed=3).value)
     joint = bound_from_log_weights(log_w, "iwae").value
-    alone = iwae(model, x, y, 6, seed=3).value
+    alone = joint_bound(model, obs, "iwae", 6, seed=3).value
     np.testing.assert_allclose(joint, alone, rtol=1e-12, atol=0)
-    marginals = [unimodal_marginal(model, n, obs[n], 6, seed=3).value for n in names]
-    for n, marginal in zip(names, marginals):
-        assert np.array_equal(unimodal_marginal(model, n, obs[n], 6, 3, draws[n]).value, marginal)
-    with pytest.raises(ValueError, match="do not match"):
-        unimodal_marginal(model, names[0], x, 4, 3, draws[names[0]])
-    with pytest.raises(ValueError, match="do not match"):
-        unimodal_marginal(model, names[0], x[:5], 6, 3, draws[names[0]])
-    np.testing.assert_allclose(pmi(model, x, y, 6, seed=3), alone - marginals[0] - marginals[1],
+    marginals = [unimodal_marginal(draws[n]).value for n in ("m1", "m2")]
+    np.testing.assert_allclose(pmi(model, obs, 6, seed=3), alone - marginals[0] - marginals[1],
                                rtol=0, atol=1e-12 * np.abs(alone).max())
     with pytest.raises(ValueError, match="divisible by 2"):
-        pmi(model, x, y, 5, seed=3)
+        pmi(model, obs, 5, seed=3)
 
 
 @pytest.mark.parametrize("joint_kind", ["moe", "poe"])
@@ -227,14 +216,14 @@ def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
 def test_fresh_moe_with_zeroed_decoders_scores_zero_pmi():
     mods = [ModalitySpec("m1", 5, "bernoulli"), ModalitySpec("m2", 4, "gaussian")]
     model = build_model(mods, latent_dim=3, hidden_dim=8, joint_kind="moe", seed=5)
-    x, y = random_pairs(model, 12, seed=6)
-    for name, obs in (("m1", x), ("m2", y)):
-        q = model.encode_unimodal(name, obs)  # zero heads: q is the prior
+    obs = random_pairs(model, 12, seed=6)
+    for name in ("m1", "m2"):
+        q = model.encode_unimodal(name, obs[name])  # zero heads: q is the prior
         assert not q.mean.value.any() and not q.log_var.value.any()
     for k, p in model.params.items():
         if k.startswith("dec."):
             p.value = np.zeros_like(p.value)
-    assert np.abs(pmi(model, x, y, 30, seed=7)).max() < 1e-12
+    assert np.abs(pmi(model, obs, 30, seed=7)).max() < 1e-12
 
 
 def test_moe_scoring_decodes_3k_rows_per_pair(monkeypatch):
@@ -444,14 +433,13 @@ def test_pmi_error_against_exact_shrinks_with_k_for_moe_and_vanishes_for_explici
     # and the exact joint posterior has none at any K.
     oracle = make_oracle(obs_dims=(4, 4), latent_dim=2, noise_var=1.0, loading_scale=2.0, seed=0)
     pairs = oracle.sample_pairs(400, 1)
-    x, y = pairs["m1"], pairs["m2"]
-    exact = oracle.exact_pmi(x, y)
+    exact = oracle.exact_pmi(pairs)
     moe = AnalyticLinearModel(oracle, joint_kind="moe")
     explicit = AnalyticLinearModel(oracle)
     errors = []
     for k in (2, 30, 300):
-        errors.append((pmi(moe, x, y, k, seed=0) - exact).mean())
-        assert np.abs(pmi(explicit, x, y, k, seed=0) - exact).max() < 1e-9
+        errors.append((pmi(moe, pairs, k, seed=0) - exact).mean())
+        assert np.abs(pmi(explicit, pairs, k, seed=0) - exact).max() < 1e-9
     assert errors[0] < errors[1] < errors[2] < 0
     assert errors[2] > -0.005
 
@@ -465,6 +453,5 @@ def test_score_dataset_of_analytic_model_equals_pmi(joint_kind):
     frozen = model.frozen()
     assert type(frozen) is AnalyticLinearModel and frozen.joint_kind == joint_kind
     assert frozen.oracle is model.oracle and (frozen.scale, frozen.shift) == (0.9, 0.3)
-    obs = mixed.pair_observations()
     np.testing.assert_array_equal(score_dataset(model, mixed, 4, seed=6),
-                                  pmi(model, obs["m1"], obs["m2"], 4, seed=6))
+                                  pmi(model, mixed.pair_observations(), 4, seed=6))

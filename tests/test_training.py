@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmvae.bounds import bound_from_log_weights, joint_log_weights
+from cmvae.bounds import bound_from_log_weights, joint_bound, joint_log_weights
 from cmvae.data import FactorSpec
 from cmvae import relatedness, training
 from cmvae.evaluation import make_oracle
@@ -357,9 +357,10 @@ def test_train_loss_decreases_on_tiny_problem(tmp_path):
 
 
 def train_on_linear_oracle(joint_kind: str, seed: int = 0):
-    """Held-out (exact - IWAE, exact - ELBO) in nats, K=1000 on 1000 pairs, after 400 ELBO
-    steps (B=64, K=10, Adam at lr 0.02) of a linear model on 2000 pairs of a 4+4-dim,
-    2-latent linear-Gaussian oracle, and the largest parameter move of the first Adam step."""
+    """Held-out (exact - IWAE, exact - ELBO, exact - CUBO) in nats, K=1000 on 1000 pairs,
+    after 400 ELBO steps (B=64, K=10, Adam at lr 0.02) of a linear model on 2000 pairs of a
+    4+4-dim, 2-latent linear-Gaussian oracle, and the largest parameter move of the first
+    Adam step."""
     oracle = make_oracle(obs_dims=(4, 4), latent_dim=2, noise_var=1.0, loading_scale=2.0, seed=seed)
     names = oracle.names
     data = oracle.sample_pairs(2000, seed)
@@ -379,17 +380,20 @@ def train_on_linear_oracle(joint_kind: str, seed: int = 0):
     frozen = model.frozen()
     log_w = [joint_log_weights(frozen, {n: test[n][i:i + 100] for n in names}, 1000, seed)
              for i in range(0, 1000, 100)]
-    exact = oracle.exact_logp(test[names[0]], test[names[1]]).mean()
+    exact = oracle.exact_logp(test).mean()
     return tuple(exact - np.concatenate([bound_from_log_weights(w, kind).value for w in log_w]).mean()
-                 for kind in ("iwae", "elbo")) + (first_move,)
+                 for kind in ("iwae", "elbo", "cubo")) + (first_move,)
 
 
 def test_linear_poe_trains_to_the_exact_likelihood():
     # A linear PoE can represent both the oracle's generative model and its exact
     # posterior, so at the optimum the ELBO equals the exact log-likelihood.  Over data
     # and batch seeds 0-4 the gaps read 0.018-0.037 (IWAE) and 0.032-0.051 (ELBO).
-    iwae_gap, elbo_gap, first_move = train_on_linear_oracle("poe")
+    iwae_gap, elbo_gap, cubo_gap, first_move = train_on_linear_oracle("poe")
     assert abs(iwae_gap) < 0.05 and abs(elbo_gap) < 0.07
+    # From the same weights, a tight posterior puts CUBO just above IWAE: CUBO - IWAE
+    # reads 0.009-0.018 over seeds 0-4, and CUBO stays 0.0007-0.023 below the exact value.
+    assert 0 <= iwae_gap - cubo_gap < 0.03
     # Adam's bias-corrected first step moves every parameter by lr at most; at 400 steps
     # the gaps alone do not tell an uncorrected Adam (3.2 lr at step 1) from seed noise
     assert 0.02 * (1 - 1e-6) < first_move <= 0.02
@@ -398,8 +402,11 @@ def test_linear_poe_trains_to_the_exact_likelihood():
 def test_linear_moe_trains_near_the_exact_likelihood():
     # A mixture of two unimodal posteriors cannot equal the Gaussian joint posterior, so
     # the gap is bounded from above only: 0.074-0.118 over data and batch seeds 0-4.
-    iwae_gap, _, _ = train_on_linear_oracle("moe")
+    iwae_gap, _, cubo_gap, _ = train_on_linear_oracle("moe")
     assert iwae_gap < 0.15
+    # The mixture's looser posterior spreads the weights: CUBO - IWAE reads 0.17-0.22
+    # over seeds 0-4, an order of magnitude above the PoE's.
+    assert iwae_gap - cubo_gap > 0.12
 
 
 def test_metrics_csv_schema(tmp_path):
@@ -431,17 +438,47 @@ def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatc
     model = train(cfg, evaluate=False).model
     sets = heldout_sets(cfg)
     obs = sets.related.pair_observations()
-    whole = training.iwae(model.frozen(), obs["m1"], obs["m2"], 4, cfg.seed + 13).value.mean()
+    whole = training.joint_bound(model.frozen(), obs, "iwae", 4, cfg.seed + 13).value.mean()
     rows = []
-    iwae = training.iwae
+    joint_bound = training.joint_bound
 
-    def counting(model, x, y, num_samples, seed):
-        rows.append(len(x))
-        return iwae(model, x, y, num_samples, seed)
+    def counting(model, obs, kind, num_samples, seed):
+        rows.append(len(obs["m1"]))
+        return joint_bound(model, obs, kind, num_samples, seed)
 
-    monkeypatch.setattr(training, "iwae", counting)
+    monkeypatch.setattr(training, "joint_bound", counting)
     assert mean_heldout_loglik(model, cfg, num_samples=4, heldout=sets) == pytest.approx(whole, rel=1e-12)
     assert rows == [relatedness.CHUNK_PAIRS] * 2 + [150 - 2 * relatedness.CHUNK_PAIRS]
+
+
+def unsorted_config(out, obs_dims=(6, 6), **kw):
+    """tiny_config over modalities listed as ("b", "a"), against the model's sorted order."""
+    cfg = tiny_config(out, **kw)
+    spec = replace(TINY, obs_dims=obs_dims, modality_names=("b", "a"))
+    return replace(cfg, dataset=replace(cfg.dataset, factors=spec))
+
+
+def test_unsorted_modality_names_reach_their_own_networks(tmp_path):
+    # Equal dims would let a swapped binding of rows to modalities pass unnoticed.
+    cfg = unsorted_config(tmp_path / "runs")
+    model = build_model_from_config(cfg)
+    rng = np.random.default_rng(3)
+    for p in model.params.values():
+        p.value = p.value + 0.3 * rng.standard_normal(p.value.shape)
+    sets = heldout_sets(cfg)
+    obs = sets.related.pair_observations()
+    assert [m.name for m in model.modalities] == ["a", "b"] and list(obs) == ["b", "a"]
+    assert (mean_heldout_loglik(model, cfg, heldout=sets)
+            == joint_bound(model.frozen(), obs, "iwae", 30, cfg.seed + 13).value.mean())
+    np.testing.assert_array_equal(relatedness.score_dataset(model, sets.mixed, 4, seed=5),
+                                  relatedness.pmi(model, sets.mixed.pair_observations(), 4, seed=5))
+
+
+def test_unsorted_modality_names_of_unequal_dims_train_and_evaluate(tmp_path):
+    cfg = unsorted_config(tmp_path / "runs", obs_dims=(16, 12), steps=2)
+    train(cfg, evaluate=True)
+    lines = open(os.path.join(cfg.output_dir, "t.metrics.csv")).read().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("t,2,")
 
 
 def test_pipeline_full_percent_short_circuits(tmp_path):
