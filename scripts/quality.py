@@ -14,8 +14,8 @@ revision (see `git_revision`) and, per cell, each metric's per-seed values,
 median and interquartile range.  The PMI gap is mean PMI of related minus
 unrelated held-out pairs; propagation cells report the metrics after
 continued training.  Two worker processes,
-each with BLAS pinned to one thread, run the cells; the full run takes
-about 7 minutes on 2 cores.
+each pinned to one CPU with BLAS on one thread, run the cells; the full
+run takes about 7 minutes on 2 cores.  The pinning needs Linux.
 """
 
 from __future__ import annotations
@@ -57,8 +57,17 @@ def shipped_config(script: str) -> training.RunConfig:
 
 
 def _row_metrics(row: dict) -> dict:
-    keys = ("latent_acc_m1", "latent_acc_m2", "joint_coh", "cross_coh_12", "cross_coh_21")
+    keys = [k for k in row if k.startswith(("latent_acc_", "cross_coh_"))] + ["joint_coh"]
     return {"pmi_gap": row["mean_pmi_related"] - row["mean_pmi_unrelated"], **{k: row[k] for k in keys}}
+
+
+def _pin_worker(taken, cpus: list[int]) -> None:
+    """Pool initializer: bind this worker to the next CPU of `cpus`, so that it forks no
+    scoring worker or training helper (`relatedness.usable_cpus`) to compete with the others."""
+    with taken.get_lock():
+        cpu = cpus[taken.value % len(cpus)]
+        taken.value += 1
+    os.sched_setaffinity(0, {cpu})
 
 
 def run_cell(task) -> dict:
@@ -90,7 +99,9 @@ def measure(data_cfg: training.RunConfig, pipeline_cfg: training.RunConfig) -> d
     cells = [("data", data_cfg, v, p) for v in DATA_VARIANTS for p in DATA_PERCENTS]
     cells += [("propagate", pipeline_cfg, v, PIPELINE_PERCENT) for v in PIPELINE_VARIANTS]
     tasks = [cell + (seed,) for cell in cells for seed in SEEDS]
-    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(WORKERS, mp_context=context, initializer=_pin_worker,
+                             initargs=(context.Value("i", 0), sorted(os.sched_getaffinity(0)))) as pool:
         results = list(pool.map(run_cell, tasks))
     out = {}
     for i, (experiment, _, variant, percent) in enumerate(cells):

@@ -47,7 +47,7 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     and pair p is row p of every modality.  With `pairs`, a mixture
     posterior draws, decodes and scores each modality row's own samples
     once, and gathers each pair's cross terms from all-pairs matrices
-    (mixture_joint_log_weights).  Other posteriors condition on the whole
+    (joint_log_weight_blocks).  Other posteriors condition on the whole
     pair, so the pair rows are gathered and scored as a batch.
 
     Modalities are folded in sorted-name order so the result is bit-stable
@@ -55,9 +55,7 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     """
     obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
     if pairs is not None and model.joint_kind == "moe":
-        per = mixture_split(num_samples)
-        draws = {m.name: unimodal_draws(model, m.name, obs[m.name], per, seed) for m in model.modalities}
-        return mixture_joint_log_weights(model, obs, draws, num_samples, pairs)
+        return concat(list(joint_log_weight_blocks(model, obs, num_samples, seed, pairs).values()), axis=1)
     if pairs is not None:
         obs = {n: obs[n][rows] for n, rows in pairs.items()}
     z, log_q = model.joint_posterior_samples(obs, num_samples, seed)
@@ -66,6 +64,27 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
     for name in sorted(liks):
         log_p = log_p + liks[name].log_prob(obs[name][:, None, :])
     return log_p - log_q
+
+
+def joint_log_weight_blocks(model, obs_by_modality: dict, num_samples: int, seed: int,
+                            pairs: dict | None = None, names=None) -> dict[str, Tensor]:
+    """joint_log_weights as column blocks by name, each its own graph but for the encoders.
+
+    A mixture posterior's weights split into one block per modality m, the
+    (P, S/M) weights at the S/M draws from each pair's row of m; block m
+    decodes only those draws, so the blocks share only the two encoders'
+    outputs.  `names` picks the blocks to compute (default: all).  All
+    blocks in name order are joint_log_weights' columns, bit for bit with
+    `pairs`.  Any other posterior is one block, named "joint".
+    """
+    if model.joint_kind != "moe":
+        return {"joint": joint_log_weights(model, obs_by_modality, num_samples, seed, pairs)}
+    per = mixture_split(num_samples)
+    obs = {m.name: np.atleast_2d(np.asarray(obs_by_modality[m.name], dtype=np.float64))
+           for m in model.modalities}
+    q = {n: model.encode_unimodal(n, v).per_row() for n, v in obs.items()}
+    return {n: mixture_block(model, obs, q, n, unimodal_draws(model, n, obs[n], per, seed, q[n]), per, pairs)
+            for n in (names or sorted(q))}
 
 
 def bound_from_log_weights(log_w: Tensor, kind: str) -> Tensor:
@@ -104,9 +123,11 @@ class UnimodalDraws:
     log_q: Tensor  # log q(z | obs), (B, S)
 
 
-def unimodal_draws(model, name: str, obs, num_samples: int, seed: int) -> UnimodalDraws:
+def unimodal_draws(model, name: str, obs, num_samples: int, seed: int,
+                   q: DiagonalGaussian | None = None) -> UnimodalDraws:
+    """Draws from `name`'s posterior at `obs`; `q`, if given, is that posterior, already encoded."""
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    q = model.encode_unimodal(name, obs).per_row()
+    q = model.encode_unimodal(name, obs).per_row() if q is None else q
     noise = per_row_normal(seed, f"joint_posterior.{name}", obs, (num_samples, model.latent_dim))
     z = q.rsample(noise)
     return UnimodalDraws(q=q, z=z, log_prior=standard_normal_log_prob(z),
@@ -129,46 +150,51 @@ def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_sam
 
     draws[m] holds at least S/M unimodal_draws per row of obs_by_modality[m];
     pair p is row pairs[m][p] of every modality m (row p without `pairs`).
-    Block m of a pair's S slots is the first S/M draws of its row of m
-    (stratified sampling, as in MultimodalModel.joint_posterior_samples).
-    There the prior, m's likelihood and m's mixture component depend on
-    the row alone, so they are read from draws[m] and gathered per pair.
-    A cross term (another modality's likelihood or component) is one
-    pairwise_log_prob matrix of all rows by all draws of block m, whose
-    P x S/M pair entries are gathered; without `pairs`, only its diagonal
-    is evaluated.  Terms are added as in joint_log_weights, so for draws
-    made with `seed` the result is joint_log_weights(model,
+    The columns are each modality's mixture_block in name order, so for
+    draws made with `seed` the result is joint_log_weights(model,
     {m: obs[m][pairs[m]]}, S, seed) up to rounding.
     """
     names = [m.name for m in model.modalities]
     per = mixture_split(num_samples)
-    for n in names:
-        if draws[n].z.shape[1] < per:
-            raise ValueError(f"{draws[n].z.shape[1]} draws per row of {n!r}, need {per}")
-
     obs = {n: np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64)) for n in names}
-    head = {n: draws[n].z[:, :per] for n in names}
-    if pairs is not None:
-        rows = {n: np.asarray(pairs[n]) for n in names}
-        slots = {n: rows[n][:, None] * per + np.arange(per) for n in names}  # row-major (row, draw) of n
+    q = {n: draws[n].q for n in names}
+    return concat([mixture_block(model, obs, q, n, draws[n], per, pairs) for n in names], axis=1)
 
-    def at(t, name):  # per-row quantity of modality `name` -> per-pair
+
+def mixture_block(model, obs: dict, q: dict, name: str, own: UnimodalDraws, per: int,
+                  pairs: dict | None = None) -> Tensor:
+    """The (P, S/M) mixture log weights at the first `per` of `own`, the draws from modality `name`.
+
+    Block m of a pair's S slots is the first S/M draws of its row of m
+    (stratified sampling, as in MultimodalModel.joint_posterior_samples).
+    There the prior, m's likelihood and m's mixture component depend on
+    the row alone, so they are read from `own` and gathered per pair.  A
+    cross term (another modality's likelihood, or its component q[k]) is
+    one pairwise_log_prob matrix of all rows by all draws of the block,
+    whose P x S/M pair entries are gathered; without `pairs`, only its
+    diagonal is evaluated.  Terms are added as in joint_log_weights.
+    """
+    if own.z.shape[1] < per:
+        raise ValueError(f"{own.z.shape[1]} draws per row of {name!r}, need {per}")
+    head = own.z[:, :per]
+    if pairs is not None:
+        rows = {n: np.asarray(pairs[n]) for n in obs}
+        slots = rows[name][:, None] * per + np.arange(per)  # row-major (row, draw) of the block
+
+    def at(t):  # per-row quantity of this block's modality -> per-pair
         return t if pairs is None else t[rows[name]]
 
-    def cross_lik(target, n):  # target's likelihood at block n's draws, (P, S/M)
-        lik = model.decode(target, head[n])
+    def cross_lik(target):  # target's likelihood at the block's draws, (P, S/M)
+        lik = model.decode(target, head)
         return (lik.log_prob(obs[target][:, None, :]) if pairs is None
-                else pairwise_log_prob(lik, obs[target])[rows[target][:, None], slots[n]])
+                else pairwise_log_prob(lik, obs[target])[rows[target][:, None], slots])
 
-    def cross_q(k, n):  # k's mixture component at block n's draws, (P, S/M)
-        return (draws[k].q.log_prob(head[n]) if pairs is None
-                else pairwise_log_prob(draws[k].q, head[n])[slots[n], rows[k][:, None]])
+    def cross_q(k):  # k's mixture component at the block's draws, (P, S/M)
+        return (q[k].log_prob(head) if pairs is None
+                else pairwise_log_prob(q[k], head)[slots, rows[k][:, None]])
 
-    log_p = concat([at(draws[n].log_prior[:, :per], n) for n in names], axis=1)
-    for target in sorted(names):
-        log_p = log_p + concat([at(draws[n].log_lik[:, :per], n) if n == target
-                                else cross_lik(target, n) for n in names], axis=1)
-    log_q = mixture_log_density([concat([at(draws[k].log_q[:, :per], k) if n == k
-                                         else cross_q(k, n) for n in names], axis=1)
-                                 for k in names])
-    return log_p - log_q
+    log_p = at(own.log_prior[:, :per])
+    for target in sorted(obs):
+        log_p = log_p + (at(own.log_lik[:, :per]) if target == name else cross_lik(target))
+    return log_p - mixture_log_density([at(own.log_q[:, :per]) if k == name else cross_q(k)
+                                        for k in sorted(obs)])

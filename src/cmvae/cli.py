@@ -125,9 +125,9 @@ def _cmd_propagate(args) -> int:
     csv_out = os.path.join(cfg.output_dir, f"{cfg.run_id}.propagation.csv")
     with open(csv_out, "w") as fh:
         fh.write(training.METRICS_SCHEMA + "\n")
-        fh.write(training.csv_line(["phase"] + training.METRICS_COLUMNS))
+        fh.write(training.csv_line(["phase", *report.metrics_before]))
         for phase, row in (("before", report.metrics_before), ("after", report.metrics_after)):
-            fh.write(training.csv_line([phase] + [row[c] for c in training.METRICS_COLUMNS]))
+            fh.write(training.csv_line([phase, *row.values()]))
     print(f"propagation report written to {out}")
     return EXIT_OK
 

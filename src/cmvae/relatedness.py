@@ -16,9 +16,7 @@ deals its chunks into contiguous shares, one per usable CPU, and scores
 every share but the first in a forked worker process while the caller
 scores the first.  Each chunk holds the same rows for any number of
 shares, so the scores are the same bits whichever process computed them.
-Workers are forked, so they exist only on Linux; elsewhere, and in a
-process that runs other threads (fork copies only the calling one), a
-pass runs in one share in the caller.
+Workers fork under the rules of `usable_cpus`.
 """
 
 from __future__ import annotations
@@ -119,7 +117,14 @@ def share_count(num_chunks: int, cpus: int) -> int:
     return max(1, min(cpus, num_chunks // SHARE_MIN_CHUNKS))
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs that forked workers may use: this process's affinity set, or 1 where none may fork.
+
+    The one statement of the fork rules, for scoring workers (`map_chunks`)
+    and the training helper (`training.train`): a process forks workers
+    only on Linux, with at least 2 CPUs in its affinity set, and while it
+    runs no other thread, since fork copies only the calling one.
+    """
     if not sys.platform.startswith("linux") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
@@ -136,7 +141,7 @@ def map_chunks(fn, n: int, chunk: int = CHUNK_PAIRS) -> np.ndarray:
     """
     out = np.empty(n, dtype=np.float64)
     num_chunks = -(-n // chunk)
-    shares = share_count(num_chunks, _usable_cpus())
+    shares = share_count(num_chunks, usable_cpus())
     edges = [chunk * (num_chunks * i // shares) for i in range(shares)] + [n]
     pool = None
     if shares > 1:
@@ -151,10 +156,16 @@ def map_chunks(fn, n: int, chunk: int = CHUNK_PAIRS) -> np.ndarray:
 
 
 def _fill(fn, chunk: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Write fn's values for rows lo..hi-1 into out[:hi - lo], chunk by chunk."""
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
+    """Write fn's values for rows lo..hi-1 into out[:hi - lo], chunk by chunk.
+
+    A trailing single row joins the chunk before it: numpy hands a one-row
+    product to BLAS gemv, which rounds differently from gemm.
+    """
+    start = lo
+    while start < hi:
+        stop = hi if hi - start <= chunk + 1 else start + chunk
         out[start - lo:stop - lo] = fn(start, stop)
+        start = stop
     return out
 
 

@@ -4,14 +4,33 @@ Every run is reproducible from its config alone: batch selection and
 estimator noise are derived from (seed, step), never from accumulated RNG
 state, so restoring a checkpoint and continuing is bit-identical to an
 uninterrupted run.
+
+A step's gradient is a sum of per-block gradients: the loss is computed
+once from the log weights' values (objective.final_objective), and one
+backward per log-weight block, one block per modality for a mixture
+posterior, starts from that block's columns of dL/d log_w; the block
+gradients are summed in name order.  So a train call of at least
+HELPER_MIN_STEPS steps on a mixture model, where the fork rules of
+`relatedness.usable_cpus` allow it, forks one helper before its first
+step that computes the second block of every step on another CPU, with
+the same bits as one process.  The helper derives the same batch and
+noise from (seed, step); block values and flat gradients travel through a
+shared anonymous mmap with 1-byte pipe signals, and both processes run
+the same Adam update, so no parameter is shipped.  The helper leaves with
+os._exit, so the caller's buffered files are flushed once, by the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
+import signal
 import struct
+import sys
+import traceback
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -22,13 +41,13 @@ from .bounds import joint_bound
 from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
                    pair_related, subset)
 from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model, mixture_split
-from .objective import ObjectiveConfig, final_objective
+from .objective import ObjectiveConfig, final_objective, log_weight_blocks, log_weight_rows
 from .seeding import derive_rng, tag
 
 CHECKPOINT_MAGIC = b"CMVAE"
 CHECKPOINT_VERSION = 2  # v2 adds a dtype code per entry; v1 stored everything as f8
 _CHECKPOINT_DTYPES = {b"f": "<f8", b"i": "<i8"}
-METRICS_SCHEMA = "# cmvae-metrics-v1"
+METRICS_SCHEMA = "# cmvae-metrics-v2"  # v2 names each per-modality column by its modality
 TRAINLOG_SCHEMA = "# cmvae-trainlog-v1"
 SWEEP_SCHEMA = "# cmvae-sweep-v1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
@@ -157,25 +176,52 @@ def _from_json(default, value, key: str):
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named parameter dict."""
+    """Adaptive-moment gradient descent over a named parameter dict.
+
+    Parameters, moments and gradients are flat vectors over the parameters
+    in sorted-name order; `m` and `v` hold per-name views of the moments,
+    and each step gives every parameter a view of a new flat vector.
+    """
 
     def __init__(self, params: dict[str, Tensor], cfg: OptimizerConfig):
         self.params = params
         self.cfg = cfg
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in sorted(params.items())}
-        self.v = {k: np.zeros_like(p.value) for k, p in sorted(params.items())}
+        self.names = sorted(params)
+        size = sum(params[k].value.size for k in self.names)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.m, self.v = self.views(self._m), self.views(self._v)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def flatten(self, arrays: dict[str, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate([arrays[k].reshape(-1) for k in self.names], out=out)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        out, start = {}, 0
+        for k in self.names:
+            shape = self.params[k].value.shape
+            stop = start + math.prod(shape)
+            out[k] = flat[start:stop].reshape(shape)
+            start = stop
+        return out
+
+    def step(self, grads: dict[str, np.ndarray] | np.ndarray) -> None:
+        """One update from gradients keyed like the parameters, or flat (see `flatten`)."""
+        g = self.flatten(grads) if isinstance(grads, dict) else grads
         b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.cfg.learning_rate
         self.t += 1
-        for k in sorted(self.params):
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            m_hat = self.m[k] / (1 - b1 ** self.t)
-            v_hat = self.v[k] / (1 - b2 ** self.t)
-            self.params[k].value = self.params[k].value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        self._m *= b1
+        self._m += (1 - b1) * g
+        self._v *= b2
+        self._v += (1 - b2) * g * g
+        step = self._m / (1 - b1 ** self.t)
+        step *= lr
+        denom = np.sqrt(self._v / (1 - b2 ** self.t))
+        denom += ADAM_EPSILON
+        step /= denom
+        flat = self.flatten({k: p.value for k, p in self.params.items()})
+        flat -= step
+        for k, view in self.views(flat).items():
+            self.params[k].value = view
 
 
 @dataclass
@@ -279,9 +325,9 @@ def restore_state(cfg: RunConfig, path: str) -> TrainState:
     for k in model.params:
         model.params[k] = Tensor.param(arrays[k].copy())
     opt = Adam(model.params, cfg.optimizer)
-    for k in opt.m:
-        opt.m[k] = arrays[f"adam.m.{k}"].copy()
-        opt.v[k] = arrays[f"adam.v.{k}"].copy()
+    for k in opt.names:
+        opt.m[k][...] = arrays[f"adam.m.{k}"]
+        opt.v[k][...] = arrays[f"adam.v.{k}"]
     opt.t = int(arrays["trainer.adam_t"])
     return TrainState(step=int(arrays["trainer.step"]), model=model, optimizer=opt,
                       seed=int(arrays["trainer.seed"]))
@@ -350,7 +396,7 @@ def heldout_sets(cfg: RunConfig) -> HeldOut:
 
 
 def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = None) -> dict:
-    """One metrics row: accuracies, coherences, and PMI separation.
+    """One metrics row, keyed by metrics_columns: accuracies, coherences, and PMI separation.
 
     `heldout` defaults to heldout_sets(cfg); a run that evaluates more than
     once builds it once and passes it.
@@ -358,7 +404,7 @@ def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = N
     model = model.frozen()
     heldout = heldout or heldout_sets(cfg)
     related, mixed, oracles = heldout.related, heldout.mixed, heldout.oracles
-    names = list(cfg.dataset.factors.modality_names)
+    a, b = names = cfg.dataset.factors.modality_names
     seed = cfg.seed + 104729
 
     acc = evaluation.latent_accuracy(model, related, seed=seed)
@@ -371,23 +417,17 @@ def evaluate_model(model, cfg: RunConfig, step: int, heldout: HeldOut | None = N
     mean_rel = float(scores[rel].mean()) if rel.any() else math.nan
     mean_unrel = float(scores[~rel].mean()) if (~rel).any() else math.nan
 
-    return {
-        "run_id": cfg.run_id,
-        "step": step,
-        "latent_acc_m1": acc[names[0]],
-        "latent_acc_m2": acc[names[1]],
-        "joint_coh": joint,
-        "cross_coh_12": cross[f"{names[0]}->{names[1]}"],
-        "cross_coh_21": cross[f"{names[1]}->{names[0]}"],
-        "synergy_coh": synergy,
-        "mean_pmi_related": mean_rel,
-        "mean_pmi_unrelated": mean_unrel,
-    }
+    return dict(zip(metrics_columns(names), [
+        cfg.run_id, step, acc[a], acc[b], joint, cross[f"{a}->{b}"], cross[f"{b}->{a}"], synergy,
+        mean_rel, mean_unrel]))
 
 
-METRICS_COLUMNS = ["run_id", "step", "latent_acc_m1", "latent_acc_m2", "joint_coh",
-                   "cross_coh_12", "cross_coh_21", "synergy_coh",
-                   "mean_pmi_related", "mean_pmi_unrelated"]
+def metrics_columns(modality_names) -> list[str]:
+    """The columns of a metrics row; each per-modality column names its modality."""
+    a, b = modality_names
+    return ["run_id", "step", f"latent_acc_{a}", f"latent_acc_{b}", "joint_coh",
+            f"cross_coh_{a}_to_{b}", f"cross_coh_{b}_to_{a}", "synergy_coh",
+            "mean_pmi_related", "mean_pmi_unrelated"]
 
 
 def _append_metrics_row(path: str, row: dict) -> None:
@@ -395,11 +435,25 @@ def _append_metrics_row(path: str, row: dict) -> None:
     with open(path, "a") as fh:
         if new:
             fh.write(METRICS_SCHEMA + "\n")
-            fh.write(csv_line(METRICS_COLUMNS))
-        fh.write(csv_line(row[c] for c in METRICS_COLUMNS))
+            fh.write(csv_line(row))
+        fh.write(csv_line(row.values()))
 
 
 # -- training loop -------------------------------------------------------------------------
+
+
+# Steps a train call needs to pay for its helper.  Measured at the default
+# baseline config on a 2-vCPU host with one BLAS thread, alternating warm
+# calls with and without the helper in one process: a 1-step call read
+# 0.97x, a 2-step call 1.10x (9 of 11 won) and a 3-step call 1.3x.  So the
+# fork, the first exchange and the first steps' copy-on-write faults cost
+# about two steps' savings, and from 10 steps on they cost at most a fifth
+# of them, as SHARE_MIN_CHUNKS bounds a scoring worker's cost.
+HELPER_MIN_STEPS = 10
+
+
+class HelperError(RuntimeError):
+    """The training helper died or failed; its traceback, if any, went to stderr."""
 
 
 def train(cfg: RunConfig, dataset: PairedDataset | None = None,
@@ -407,7 +461,10 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     """Minimize the configured objective; write train/metrics CSVs and checkpoints.
 
     Runs cfg.optimizer.steps steps.  Passing an existing state continues
-    training from its step on (possibly) a new dataset.
+    training from its step on (possibly) a new dataset.  A long call on a
+    mixture model computes the second log-weight block of each step in a
+    forked helper (see the module docstring); it has exited when this
+    returns or raises.
     """
     try:
         ds = dataset if dataset is not None else build_dataset(cfg)
@@ -422,8 +479,7 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                            seed=cfg.seed)
     model, opt = state.model, state.optimizer
 
-    num_pairs = len(ds)
-    batch_size = min(cfg.optimizer.batch_size, num_pairs)
+    batch_size = min(cfg.optimizer.batch_size, len(ds))
     steps = cfg.optimizer.steps
     first, last = state.step, state.step + steps
 
@@ -433,38 +489,165 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     last_good: str | None = os.path.join(cfg.output_dir, f"{cfg.run_id}.step{first}.ckpt")
     save_checkpoint(state, last_good)
 
-    log_new = not os.path.exists(log_path)
-    with open(log_path, "a") as log:
-        if log_new:
-            log.write(TRAINLOG_SCHEMA + "\n")
-            log.write("step,loss,term1,term2\n")
-        for step in range(first, last):
-            batch_rows = derive_rng(state.seed, tag("batch"), step).choice(
-                num_pairs, size=batch_size, replace=False)
-            obs = ds.pair_observations(batch_rows)
-            step_seed = int(derive_rng(state.seed, tag("step_noise"), step).integers(1 << 62))
-            loss, term1, term2 = final_objective(model, obs, cfg.objective, step_seed)
-            if not np.isfinite(loss.value):
-                raise NumericalAbort(step, last_good)
-            grads = backward(loss, model.params)
-            if not _all_finite(grads.values()):
-                raise NumericalAbort(step, last_good)
-            opt.step(grads)
-            state.step = step + 1
-            log.write(csv_line([step, float(loss.value), term1, term2]))
+    def batch(step):
+        return _step_batch(ds, state.seed, step, batch_size)
 
-            if cfg.eval_every and state.step % cfg.eval_every == 0:
-                if not _all_finite(p.value for p in model.params.values()):
+    helper = None
+    log_new = not os.path.exists(log_path)
+    try:
+        if (model.joint_kind == "moe" and steps >= HELPER_MIN_STEPS
+                and relatedness.usable_cpus() >= 2):
+            rows = log_weight_rows(cfg.objective, batch_size) * mixture_split(cfg.objective.num_samples)
+            helper = _Helper(rows, opt, lambda peer: _helper_steps(peer, model, opt, cfg, range(first, last),
+                                                                   batch))
+        with open(log_path, "a") as log:
+            if log_new:
+                log.write(TRAINLOG_SCHEMA + "\n")
+                log.write("step,loss,term1,term2\n")
+            for step in range(first, last):
+                obs, step_seed = batch(step)
+                loss, term1, term2, blocks = final_objective(model, obs, cfg.objective, step_seed, helper)
+                if not np.isfinite(loss.value):
                     raise NumericalAbort(step, last_good)
-                save_checkpoint(state, ckpt_path)
-                last_good = ckpt_path
-                if evaluate:
-                    _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step, heldout))
+                grad = _block_gradient(blocks.values(), opt)
+                if helper is not None:
+                    grad = helper.add_gradient(grad)
+                if not np.isfinite(grad).all():
+                    raise NumericalAbort(step, last_good)
+                if helper is not None:
+                    helper.send()  # the helper makes the same update
+                opt.step(grad)
+                state.step = step + 1
+                log.write(csv_line([step, float(loss.value), term1, term2]))
+
+                if cfg.eval_every and state.step % cfg.eval_every == 0:
+                    if not _all_finite(p.value for p in model.params.values()):
+                        raise NumericalAbort(step, last_good)
+                    save_checkpoint(state, ckpt_path)
+                    last_good = ckpt_path
+                    if evaluate:
+                        _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step, heldout))
+    finally:
+        if helper is not None:
+            helper.stop()
 
     save_checkpoint(state, ckpt_path)
     if evaluate and (cfg.eval_every == 0 or state.step % cfg.eval_every != 0 or steps == 0):
         _append_metrics_row(metrics_path, evaluate_model(model, cfg, state.step, heldout))
     return state
+
+
+def _step_batch(ds: PairedDataset, seed: int, step: int, batch_size: int):
+    """A step's batch observations and noise seed, from (seed, step) alone."""
+    rows = derive_rng(seed, tag("batch"), step).choice(len(ds), size=batch_size, replace=False)
+    return ds.pair_observations(rows), int(derive_rng(seed, tag("step_noise"), step).integers(1 << 62))
+
+
+def _block_gradient(blocks, opt: Adam, out: np.ndarray | None = None) -> np.ndarray:
+    """The flat gradient of (block, its columns of dL/d log_w) pairs in name order, as
+    final_objective returns them: one backward per block, from its columns, summed in order."""
+    total = None
+    for w, seed in blocks:
+        grad = opt.flatten(backward((w * Tensor.const(seed)).sum(), opt.params), out)
+        total = grad if total is None else total + grad
+    return total
+
+
+class _Helper:
+    """The caller's end of a forked training helper, which runs `body(peer)` with the other end.
+
+    One shared anonymous mmap holds a block of log weights (its values, then
+    their seed) and a flat gradient; each side signals the other with one
+    byte on its own pipe once the data it wrote is in place.  For the call,
+    the caller and the helper each keep to one CPU of the caller's affinity
+    set: a process woken by a pipe signal tends to be woken on the
+    signaller's CPU, and unpinned 10-step calls on a 2-vCPU host ran at
+    0.8x one process as often as at 1.3x.  So a scoring pass inside the
+    call, as in evaluate_model, sees one usable CPU and runs in the caller.
+    """
+
+    def __init__(self, block_floats: int, opt: Adam, body):
+        self.mem = mmap.mmap(-1, 8 * (block_floats + opt._m.size))
+        flat = np.frombuffer(self.mem, dtype=np.float64)
+        self.block, self.grad = flat[:block_floats], flat[block_floats:]
+        self.affinity = os.sched_getaffinity(0)
+        cpus = sorted(self.affinity)
+        down_r, down_w = os.pipe()  # caller -> helper
+        up_r, up_w = os.pipe()  # helper -> caller
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                self.read_fd, self.write_fd = down_r, up_w
+                _pin({cpus[1]})
+                body(self)
+                code = 0
+            except BaseException:  # reported and ended here: the child never unwinds into the caller
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        os.close(down_r)
+        os.close(up_w)
+        self.read_fd, self.write_fd = up_r, down_w
+        _pin({cpus[0]})
+
+    def send(self) -> None:
+        os.write(self.write_fd, b"+")
+
+    def wait(self) -> None:
+        if os.read(self.read_fd, 1) != b"+":
+            raise HelperError("the training helper exited before its step was done; "
+                              "its traceback, if any, is on stderr")
+
+    def values(self, shape) -> np.ndarray:
+        """The helper's block of log weights."""
+        self.wait()
+        return self.block[:math.prod(shape)].reshape(shape)
+
+    def seed(self, columns: np.ndarray) -> None:
+        """Hand the helper its block's columns of dL/d log_w."""
+        self.block[:columns.size].reshape(columns.shape)[...] = columns
+        self.send()
+
+    def add_gradient(self, grad: np.ndarray) -> np.ndarray:
+        """`grad` plus the helper's block gradient, in name order, in the shared vector."""
+        self.wait()
+        return np.add(grad, self.grad, out=self.grad)
+
+    def stop(self) -> None:
+        """End the helper wherever it is, and reap it."""
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(self.pid, 0)
+        _pin(self.affinity)
+
+
+def _pin(cpus: set[int]) -> None:
+    """Keep this process to `cpus`, if the host lets it."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _helper_steps(peer: _Helper, model, opt: Adam, cfg: RunConfig, steps, batch) -> None:
+    """The helper's side of train: the last log-weight block and the Adam update of each step."""
+    last = [model.modalities[-1].name]
+    for step in steps:
+        obs, step_seed = batch(step)
+        (w,) = log_weight_blocks(model, obs, cfg.objective, step_seed, last).values()
+        peer.block[:w.value.size] = w.value.reshape(-1)
+        peer.send()
+        peer.wait()
+        _block_gradient([(w, peer.block[:w.value.size].reshape(w.shape))], opt, out=peer.grad)
+        peer.send()
+        peer.wait()
+        opt.step(peer.grad)
 
 
 def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = None) -> None:
@@ -521,7 +704,7 @@ def sweep_gamma(cfg: RunConfig, gammas: list[float], out_path: str) -> list[dict
                      objective=replace(cfg.objective, gamma=float(gamma)),
                      output_dir=os.path.join(cfg.output_dir, f"gamma={gamma}")))
             for gamma in gammas)
-    return _sweep(out_path, ["gamma"], runs, heldout=True)
+    return _sweep(out_path, ["gamma"], runs, cfg.dataset.factors.modality_names, heldout=True)
 
 
 def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[str],
@@ -532,7 +715,7 @@ def sweep_data_fraction(cfg: RunConfig, percents: list[float], variants: list[st
              data_fraction_config(cfg, variant, percent, seed,
                                   os.path.join(cfg.output_dir, f"{variant}-p{percent}-s{seed}")))
             for variant in variants for percent in percents for seed in seeds)
-    return _sweep(out_path, ["variant", "percent", "seed"], runs)
+    return _sweep(out_path, ["variant", "percent", "seed"], runs, cfg.dataset.factors.modality_names)
 
 
 def data_fraction_config(cfg: RunConfig, variant: str, percent: float, seed: int,
@@ -544,8 +727,10 @@ def data_fraction_config(cfg: RunConfig, variant: str, percent: float, seed: int
                    model=replace(cfg.model, init_seed=seed), output_dir=output_dir)
 
 
-def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[dict]:
+def _sweep(out_path: str, keys: list[str], runs, names, heldout: bool = False) -> list[dict]:
     """Train each (key values, config) run from scratch, then write one metrics row per run.
+
+    The runs are over modalities `names`, which name the metric columns.
 
     Every run's config, dataset and held-out sets are built and checked before the first
     file is written.
@@ -557,7 +742,7 @@ def _sweep(out_path: str, keys: list[str], runs, heldout: bool = False) -> list[
     for _, rcfg, ds in runs:
         check_config(rcfg, len(ds))
     runs = [(key_values, rcfg, ds, heldout_sets(rcfg)) for key_values, rcfg, ds in runs]
-    columns = keys + METRICS_COLUMNS[1:] + (["mean_test_loglik"] if heldout else [])
+    columns = keys + metrics_columns(names)[1:] + (["mean_test_loglik"] if heldout else [])
     rows = []
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:

@@ -5,6 +5,7 @@ from cmvae.autodiff import Tensor, backward
 from cmvae.bounds import (
     bound_from_log_weights,
     joint_bound,
+    joint_log_weight_blocks,
     joint_log_weights,
     unimodal_draws,
     unimodal_marginal,
@@ -215,3 +216,36 @@ def test_moe_pairs_path_equals_gathered_rows():
     direct = joint_log_weights(model, {n: obs[n][rows] for n, rows in pairs.items()}, 30, 5).value
     assert via_pairs.shape == (90, 30)
     np.testing.assert_allclose(via_pairs, direct, rtol=0, atol=1e-12)
+
+
+def test_mixture_blocks_are_the_joint_log_weights_columns():
+    # At the shipped 16/16 dimensions, the blocks in name order are the
+    # joint posterior's log weights bit for bit, and block m alone is the
+    # same graph whichever other blocks are computed beside it.
+    mods = [ModalitySpec("m1", 16, "gaussian"), ModalitySpec("m2", 16, "gaussian")]
+    model = build_model(mods, latent_dim=8, hidden_dim=64, joint_kind="moe", seed=0)
+    rng = np.random.default_rng(0)
+    for p in model.params.values():
+        p.value = p.value + 0.1 * rng.standard_normal(p.value.shape)
+    obs = {n: rng.standard_normal((64, 16)) for n in ("m1", "m2")}
+    blocks = joint_log_weight_blocks(model, obs, 30, 5)
+    assert list(blocks) == ["m1", "m2"] and blocks["m1"].shape == (64, 15)
+    whole = joint_log_weights(model, obs, 30, 5).value
+    assert np.array_equal(np.concatenate([w.value for w in blocks.values()], axis=1), whole)
+    pairs = {"m1": rng.integers(0, 64, 200), "m2": rng.integers(0, 64, 200)}
+    paired = joint_log_weight_blocks(model, obs, 30, 5, pairs)
+    assert np.array_equal(np.concatenate([w.value for w in paired.values()], axis=1),
+                          joint_log_weights(model, obs, 30, 5, pairs).value)
+    (alone,) = joint_log_weight_blocks(model, obs, 30, 5, pairs, names=["m2"]).values()
+    grads = [backward(w.sum(), model.params) for w in (alone, paired["m2"])]
+    assert np.array_equal(alone.value, paired["m2"].value)
+    for k in model.params:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+def test_other_posteriors_are_one_block():
+    mods = [ModalitySpec("m1", 3, "gaussian"), ModalitySpec("m2", 3, "gaussian")]
+    model = build_model(mods, latent_dim=2, hidden_dim=4, joint_kind="poe", seed=0)
+    obs = {n: np.random.default_rng(1).standard_normal((5, 3)) for n in ("m1", "m2")}
+    (name, block), = joint_log_weight_blocks(model, obs, 6, 2).items()
+    assert name == "joint" and np.array_equal(block.value, joint_log_weights(model, obs, 6, 2).value)

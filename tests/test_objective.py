@@ -146,7 +146,7 @@ def test_final_objective_algebraic_identity():
     # all estimates equal e: loss = (1 - gamma) e + ln N
     model, obs = patched_const_model(-10.0, batch=8)
     cfg = ObjectiveConfig.for_variant("cI", gamma=2.0, num_negatives=5, num_samples=3)
-    loss, term1, term2 = final_objective(model, obs, cfg, seed=4)
+    loss, term1, term2, _ = final_objective(model, obs, cfg, seed=4)
     assert float(loss.value) == pytest.approx(10.0 + math.log(5.0), abs=1e-9)
     assert float(loss.value) == pytest.approx(11.609438, abs=1e-6)
     assert term1 == pytest.approx(-10.0, abs=1e-9)
@@ -158,7 +158,7 @@ def test_final_objective_baseline_sentinel():
     model, obs = patched_const_model(-7.5, batch=6)
     for gamma, n_neg in ((2.0, 5), (64.0, 0)):
         cfg = ObjectiveConfig.for_variant("baseline", gamma, n_neg, num_samples=3)
-        loss, term1, term2 = final_objective(model, obs, cfg, seed=1)
+        loss, term1, term2, _ = final_objective(model, obs, cfg, seed=1)
         assert float(loss.value) == pytest.approx(7.5, abs=1e-9)
         assert term1 == pytest.approx(-7.5, abs=1e-9) and math.isnan(term2)
 
@@ -168,7 +168,7 @@ def test_final_objective_gamma_one_is_plain_contrastive():
     rng = np.random.default_rng(5)
     obs = {"m1": rng.standard_normal((7, 4)), "m2": rng.standard_normal((7, 4))}
     cfg1 = ObjectiveConfig.for_variant("cI", gamma=1.0, num_samples=4)
-    loss, term1, term2 = final_objective(model, obs, cfg1, seed=8)
+    loss, term1, term2, _ = final_objective(model, obs, cfg1, seed=8)
     assert float(loss.value) == pytest.approx(term2 - term1, abs=1e-9)
 
 
@@ -178,8 +178,8 @@ def test_final_objective_affine_shift_equivariance():
     a, obs = patched_const_model(-4.0, batch=7)
     b, _ = patched_const_model(-4.0 + c, batch=7)
     cfg = ObjectiveConfig.for_variant("cI", gamma=gamma, num_negatives=5, num_samples=2)
-    la, _, _ = final_objective(a, obs, cfg, seed=3)
-    lb, _, _ = final_objective(b, obs, cfg, seed=3)
+    la, _, _, _ = final_objective(a, obs, cfg, seed=3)
+    lb, _, _, _ = final_objective(b, obs, cfg, seed=3)
     assert float(lb.value) - float(la.value) == pytest.approx((1 - gamma) * c, abs=1e-9)
 
 
@@ -201,8 +201,8 @@ def test_modality_swap_invariance_bit_exact():
     rng = np.random.default_rng(7)
     obs = {"m1": rng.standard_normal((7, 4)), "m2": rng.standard_normal((7, 4))}
     cfg = ObjectiveConfig.for_variant("cI", num_samples=4)
-    la, t1a, t2a = final_objective(fwd, obs, cfg, seed=11)
-    lb, t1b, t2b = final_objective(rev, obs, cfg, seed=11)
+    la, t1a, t2a, _ = final_objective(fwd, obs, cfg, seed=11)
+    lb, t1b, t2b, _ = final_objective(rev, obs, cfg, seed=11)
     assert float(la.value) == float(lb.value)
     assert t1a == t1b and t2a == t2b
 
@@ -268,7 +268,7 @@ def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
     model = perturbed_model(joint_kind=joint_kind, seed=6)
     obs = pair_batch(model, 7, seed=7)
     cfg = ObjectiveConfig.for_variant(variant, num_negatives=3, num_samples=4)
-    loss, term1, term2 = final_objective(model, obs, cfg, seed=12)
+    loss, term1, term2, _ = final_objective(model, obs, cfg, seed=12)
     grads = backward(loss, model.params)
     ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=12)
     ref_grads = backward(ref_loss, model.params)
@@ -343,19 +343,18 @@ def test_moe_pair_log_weights_match_gathered_rows(likelihoods, monkeypatch):
 
 def test_pmi_and_objective_reach_the_one_mixture_path(monkeypatch):
     calls = []
-    original = bounds.mixture_joint_log_weights
+    original = bounds.mixture_block
 
-    def spy(model, obs, draws, num_samples, pairs=None):
-        calls.append(pairs is not None)
-        return original(model, obs, draws, num_samples, pairs)
+    def spy(model, obs, q, name, own, per, pairs=None):
+        calls.append((name, pairs is not None))
+        return original(model, obs, q, name, own, per, pairs)
 
-    monkeypatch.setattr(bounds, "mixture_joint_log_weights", spy)
-    monkeypatch.setattr(relatedness, "mixture_joint_log_weights", spy)
+    monkeypatch.setattr(bounds, "mixture_block", spy)
     model = perturbed_model(seed=2)
     obs = pair_batch(model, 6, seed=3)
     final_objective(model, obs, ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4), 1)
     relatedness.pmi(model, obs, 4, seed=1)
-    assert calls == [True, False]
+    assert calls == [("m1", True), ("m2", True), ("m1", False), ("m2", False)]
 
 
 def test_all_in_batch_negatives(monkeypatch):
@@ -363,16 +362,16 @@ def test_all_in_batch_negatives(monkeypatch):
     # each direction, and the loss is the per-direction one.
     scored = []
 
-    def spy(model, obs, num_samples, seed, pairs=None):
+    def spy(model, obs, num_samples, seed, pairs=None, names=None):
         scored.append(pairs)
-        return bounds.joint_log_weights(model, obs, num_samples, seed, pairs)
+        return bounds.joint_log_weight_blocks(model, obs, num_samples, seed, pairs, names)
 
-    monkeypatch.setattr(objective, "joint_log_weights", spy)
+    monkeypatch.setattr(objective, "joint_log_weight_blocks", spy)
     model = perturbed_model(seed=14)
     batch = 6
     obs = pair_batch(model, batch, seed=15)
     cfg = ObjectiveConfig.for_variant("cC", num_negatives=batch - 1, num_samples=4)
-    loss, term1, term2 = final_objective(model, obs, cfg, seed=16)
+    loss, term1, term2, _ = final_objective(model, obs, cfg, seed=16)
     (pairs,) = scored
     anchors = np.arange(batch)
     n = batch * (batch - 1)

@@ -191,6 +191,22 @@ def test_map_chunks_deals_contiguous_shares_and_starts_no_worker_below_the_minim
     assert map_chunks(pid_rows, 0).shape == (0,)
 
 
+def test_a_trailing_single_row_joins_the_chunk_before_it():
+    # numpy hands a one-row product to BLAS gemv, which rounds differently
+    # from gemm: dealt as a chunk of its own, row 64 of 65 scored apart
+    # from row 64 of a 128-pair pass
+    spec = FactorSpec()
+    mixed = pair_random(spec, generate_unimodal(spec, 128, "m1", 0),
+                        generate_unimodal(spec, 128, "m2", 1), seed=3)
+    model = perturbed_model(spec.likelihoods, obs_dims=spec.obs_dims, seed=0)
+    scores = score_dataset(model, mixed, 30, seed=4)
+    head = mixed.with_pairs(mixed.pairs[:65], 1, 0)
+    assert np.array_equal(score_dataset(model, head, 30, seed=4), scores[:65])
+    spans = []
+    map_chunks(lambda start, stop: spans.append((start, stop)) or np.zeros(stop - start), 2 * 64 + 1)
+    assert spans == [(0, 64), (64, 129)]
+
+
 @forked_workers
 def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
     usable_cpus(monkeypatch, 2)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import struct
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from cmvae.bounds import bound_from_log_weights, joint_bound, joint_log_weights
 from cmvae.data import FactorSpec
-from cmvae import relatedness, training
+from cmvae import evaluation, relatedness, training
 from cmvae.evaluation import make_oracle
 from cmvae.models import ModalitySpec, build_model
 from cmvae.objective import ObjectiveConfig, final_objective
@@ -70,6 +71,27 @@ def test_adam_matches_reference_update():
     v_hat = (0.001 * g["w"] ** 2) / (1 - 0.999)
     expect = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(p["w"].value, expect, atol=1e-12)
+
+
+def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(0)
+    shapes = {"b": (3,), "a": (2, 4), "c": ()}
+    params = {k: Tensor.param(rng.standard_normal(shape)) for k, shape in shapes.items()}
+    ref = {k: p.value for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    opt = Adam(params, OptimizerConfig(learning_rate=0.01))
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        opt.step(grads if t % 2 else opt.flatten(grads))
+        for k, g in grads.items():  # the update as written per parameter
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+            m_hat, v_hat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
+            ref[k] = ref[k] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for k in shapes:
+            assert np.array_equal(params[k].value, ref[k]) and params[k].value.shape == shapes[k], k
+            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
 
 
 # sha256 over the default model's parameters, by name in sorted order: name, shape, f64 bytes
@@ -273,13 +295,17 @@ def test_quality_script_smoke(tmp_path, monkeypatch):
                              "data/cI/p10", "data/cI/p100", "propagate/baseline/p10", "propagate/cI/p10"]
     assert {"f1", "precision", "recall"} <= set(cells["propagate/cI/p10"])
     for metrics in cells.values():
-        assert {"pmi_gap", "joint_coh", "cross_coh_12", "cross_coh_21", "latent_acc_m1",
+        assert {"pmi_gap", "joint_coh", "cross_coh_m1_to_m2", "cross_coh_m2_to_m1", "latent_acc_m1",
                 "latent_acc_m2", "heldout_iwae"} <= set(metrics)
         assert all(len(m["values"]) == len(quality.SEEDS) for m in metrics.values())
     assert not os.listdir(tmp_path)  # runs write only to scratch directories
 
 
 def test_checkpoint_restore_equals_uninterrupted(tmp_path):
+    restore_equals_uninterrupted(tmp_path)
+
+
+def restore_equals_uninterrupted(tmp_path):
     # train 8 == train 4, checkpoint, restore, 4 more (bit-identical)
     cfg_full = tiny_config(tmp_path / "full", steps=8)
     full = train(cfg_full, evaluate=False)
@@ -297,6 +323,99 @@ def test_checkpoint_restore_equals_uninterrupted(tmp_path):
     assert np.array_equal(
         np.concatenate([full.optimizer.m[k].ravel() for k in sorted(full.optimizer.m)]),
         np.concatenate([resumed.optimizer.m[k].ravel() for k in sorted(resumed.optimizer.m)]))
+
+
+forked_helper = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                   reason="the training helper is forked on Linux only")
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The helpers that train calls start, on 2 usable CPUs; a call that hangs fails the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    started, real = [], training._Helper
+
+    def counting(*args):
+        started.append(real(*args))
+        return started[-1]
+
+    monkeypatch.setattr(training, "_Helper", counting)
+    previous = signal.signal(signal.SIGALRM, lambda *a: pytest.fail("a train call hung"))
+    signal.alarm(120)
+    yield started
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def helper_forks(monkeypatch, helpers):
+    """As `helpers`, with every train call forking its helper."""
+    monkeypatch.setattr(training, "HELPER_MIN_STEPS", 1)
+    return helpers
+
+
+def all_reaped(helpers) -> bool:
+    """No helper of `helpers` is left, running or unreaped, and no other child is waiting to be."""
+    for helper in helpers:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(helper.pid, os.WNOHANG)
+    try:
+        return os.waitpid(-1, os.WNOHANG) == (0, 0)  # children of other tests may still run
+    except ChildProcessError:
+        return True
+
+
+@forked_helper
+@pytest.mark.parametrize("variant", ["baseline", "cI"])
+def test_helper_trains_the_bits_of_one_process(tmp_path, monkeypatch, helpers, variant):
+    runs = {}
+    assert training.HELPER_MIN_STEPS <= 12
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = replace(tiny_config(tmp_path / str(cpus), variant=variant, steps=12), eval_every=5)
+        model = train(cfg).model
+        files = [open(os.path.join(cfg.output_dir, f"t.{kind}.csv")).read() for kind in ("train", "metrics")]
+        runs[cpus] = files, {k: p.value for k, p in model.params.items()}
+        assert len(helpers) == cpus - 1 and all_reaped(helpers)
+    assert runs[2][0] == runs[1][0]
+    for k, value in runs[1][1].items():
+        assert np.array_equal(runs[2][1][k], value), k
+
+
+@forked_helper
+def test_checkpoint_restore_equals_uninterrupted_with_the_helper(tmp_path, helper_forks):
+    restore_equals_uninterrupted(tmp_path)
+    assert len(helper_forks) == 3 and all_reaped(helper_forks)
+
+
+@forked_helper
+def test_numerical_abort_leaves_no_helper(tmp_path, helper_forks):
+    cfg = tiny_config(tmp_path / "runs", steps=4)
+    model = build_model_from_config(cfg)
+    model.params["dec.m1.b_out"].value = np.full_like(model.params["dec.m1.b_out"].value, np.nan)
+    state = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=cfg.seed)
+    with pytest.raises(NumericalAbort):
+        train(cfg, state=state, evaluate=False)
+    assert len(helper_forks) == 1 and all_reaped(helper_forks)
+
+
+@forked_helper
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_a_failing_helper_fails_the_call_and_leaves_no_child(tmp_path, monkeypatch, helper_forks, how):
+    caller = os.getpid()
+    real = training.log_weight_blocks  # only the helper computes its block through this name
+
+    def failing(*args):
+        if os.getpid() != caller and how == "raises":
+            raise ZeroDivisionError("in the helper")
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(training, "log_weight_blocks", failing)
+    with pytest.raises(training.HelperError, match="helper exited"):
+        train(tiny_config(tmp_path / "runs", steps=4), evaluate=False)
+    assert len(helper_forks) == 1 and all_reaped(helper_forks)
 
 
 def test_nonfinite_loss_aborts_with_checkpoint(tmp_path):
@@ -371,7 +490,7 @@ def train_on_linear_oracle(joint_kind: str, seed: int = 0):
     rng = np.random.default_rng(seed)
     for step in range(400):
         rows = rng.choice(2000, 64, replace=False)
-        loss, _, _ = final_objective(model, {n: data[n][rows] for n in names}, objective, seed=step)
+        loss, _, _, _ = final_objective(model, {n: data[n][rows] for n in names}, objective, seed=step)
         before = {k: p.value for k, p in model.params.items()}
         adam.step(backward(loss, model.params))
         if step == 0:
@@ -414,10 +533,10 @@ def test_metrics_csv_schema(tmp_path):
     train(cfg, evaluate=True)
     path = os.path.join(cfg.output_dir, "t.metrics.csv")
     lines = open(path).read().splitlines()
-    assert lines[0] == "# cmvae-metrics-v1"
+    assert lines[0] == "# cmvae-metrics-v2"
     header = lines[1].split(",")
     assert header == ["run_id", "step", "latent_acc_m1", "latent_acc_m2", "joint_coh",
-                      "cross_coh_12", "cross_coh_21", "synergy_coh",
+                      "cross_coh_m1_to_m2", "cross_coh_m2_to_m1", "synergy_coh",
                       "mean_pmi_related", "mean_pmi_unrelated"]
     row = lines[2].split(",")
     assert row[0] == "t" and row[1] == "2"
@@ -481,6 +600,18 @@ def test_unsorted_modality_names_of_unequal_dims_train_and_evaluate(tmp_path):
     assert len(lines) == 3 and lines[2].startswith("t,2,")
 
 
+def test_metric_columns_name_their_modalities(tmp_path):
+    cfg = unsorted_config(tmp_path / "runs", obs_dims=(16, 12), steps=2)
+    model = train(cfg).model
+    header, row = (line.split(",") for line in
+                   open(os.path.join(cfg.output_dir, "t.metrics.csv")).read().splitlines()[1:])
+    assert header == ["run_id", "step", "latent_acc_b", "latent_acc_a", "joint_coh", "cross_coh_b_to_a",
+                      "cross_coh_a_to_b", "synergy_coh", "mean_pmi_related", "mean_pmi_unrelated"]
+    related = heldout_sets(cfg).related
+    acc = evaluation.latent_accuracy(model.frozen(), related, seed=cfg.seed + 104729)
+    assert [float(row[2]), float(row[3])] == [acc["b"], acc["a"]]
+
+
 def test_pipeline_full_percent_short_circuits(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=3)
     report, info = run_pipeline(cfg, PropagationConfig(pretrain_percent=100.0,
@@ -540,7 +671,7 @@ def test_heldout_sets_built_once_per_run_read_only_and_unchanged(tmp_path, monke
 
     def outputs(sets):
         row = evaluate_model(model, cfg, 0, sets)
-        return (training.csv_line(row[c] for c in training.METRICS_COLUMNS),
+        return (training.csv_line(row.values()),
                 mean_heldout_loglik(model, cfg, heldout=sets))
 
     assert outputs(heldout) == outputs(None)  # shared sets score as a fresh build
