@@ -19,12 +19,15 @@ medians, the per-pair ratios change/parent, how many pairs the change won
 in the metric's `better` direction, and the gap between the medians
 beside the parent's interquartile range, and a no-regression verdict
 against the metric's relative `bound` (see `verdict`).  A timing metric
-also gets each tree's median of the raw medians and their ratio, which
-host_factor's rescaling does not move.  Then come each tree's median and
-quartiles of `host_factor` and its value per pair, since a run on a
-briefly faster host reads faster after rescaling; the summary names every
-run that reported `failed` > 0.  `--claim METRIC` adds the verdict on a
-claimed gain in METRIC ("claim met" or "claim not met", see `claim`).
+also gets the same statistics of the raw medians, which host_factor's
+rescaling does not move: each tree's median and their ratio, the per-pair
+ratios and wins, and the gap beside the parent's IQR.  Then come each
+tree's median and quartiles of `host_factor` and its value per pair, since
+a run on a briefly faster host reads faster after rescaling; the summary
+names every run that reported `failed` > 0.  `--claim METRIC` adds the
+verdict on a claimed gain in METRIC ("claim met" or "claim not met", see
+`claim`), judged on the rescaled values and, for a timing metric, again on
+the raw medians.
 `--json PATH` writes the same summary, with each pair's values and any
 claim, under the workload's name in the JSON object at PATH, keeping what
 the file holds for other workloads.  This file imports no numpy.
@@ -109,45 +112,62 @@ def claim(metric: dict, pairs: int) -> dict:
             "gap_beyond_iqr": by_spread}
 
 
+def _compare(par: list[float], chg: list[float], direction: str) -> dict:
+    """Spread, ratios, wins and gap of the change's values against the parent's, pair by pair."""
+    sp, sc = _spread(par), _spread(chg)
+    mp, mc = sp["median"], sc["median"]
+    ratios = [c / p if p else float("nan") for p, c in zip(par, chg)]
+    return {"better": direction, "parent": sp, "change": sc,
+            "ratio_of_medians": mc / mp if mp else float("nan"),
+            "median_ratio": statistics.median(ratios), "ratios": ratios,
+            "wins": sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg)),
+            "ties": sum(c == p for p, c in zip(par, chg)),
+            "median_gap": mc - mp, "parent_iqr": sp["q3"] - sp["q1"]}
+
+
 def summary(pairs: list[tuple[str, str]], better: dict[str, str],
             bounds: dict[str, float] | None = None, claimed: str | None = None) -> dict:
     """Per-metric statistics of (parent, change) result lines.
 
     `better` maps metric -> 'higher'/'lower'; a metric named in `bounds`
     also gets its bound and verdict, a metric found in every run's raw
-    `medians` a "raw" entry with each tree's median of them and their
-    ratio, and the metric `claimed` a "claim" entry (see `claim`).
+    `medians` a "raw" entry with the same statistics (see `_compare`) of
+    those, and the metric `claimed` a "claim" entry (see `claim`), in its
+    raw entry too when it has one.
     """
     results = [(json.loads(p), json.loads(c)) for p, c in pairs]
     metrics = {}
     for name, direction in better.items():
         par = [p["metrics"][name]["value"] for p, _ in results]
         chg = [c["metrics"][name]["value"] for _, c in results]
-        ratios = [c / p if p else float("nan") for p, c in zip(par, chg)]
-        sp, sc = _spread(par), _spread(chg)
-        mp, mc = sp["median"], sc["median"]
-        metrics[name] = {
-            "unit": results[0][1]["metrics"][name]["unit"], "better": direction,
-            "parent": sp, "change": sc,
-            "ratio_of_medians": mc / mp if mp else float("nan"),
-            "median_ratio": statistics.median(ratios), "ratios": ratios,
-            "wins": sum(c > p if direction == "higher" else c < p for p, c in zip(par, chg)),
-            "ties": sum(c == p for p, c in zip(par, chg)),
-            "median_gap": mc - mp, "parent_iqr": sp["q3"] - sp["q1"]}
+        metrics[name] = {"unit": results[0][1]["metrics"][name]["unit"], **_compare(par, chg, direction)}
         if bounds and name in bounds:
             metrics[name].update(bound=bounds[name], verdict=verdict(par, chg, direction, bounds[name]))
         if all(name in r.get("medians", {}) for pair in results for r in pair):
-            rp, rc = (statistics.median(pair[i]["medians"][name] for pair in results) for i in (0, 1))
-            metrics[name]["raw"] = {"parent": rp, "change": rc,
-                                    "ratio_of_medians": rc / rp if rp else float("nan")}
+            raw_par = [p["medians"][name] for p, _ in results]
+            raw_chg = [c["medians"][name] for _, c in results]
+            metrics[name]["raw"] = _compare(raw_par, raw_chg, direction)
         if name == claimed:
             metrics[name]["claim"] = claim(metrics[name], len(results))
+            if "raw" in metrics[name]:
+                metrics[name]["raw"]["claim"] = claim(metrics[name]["raw"], len(results))
     failed = [{"pair": i, "tree": tree, "failed": r["failed"], "attempted": r["attempted"]}
               for i, (p, c) in enumerate(results)
               for tree, r in (("parent", p), ("change", c)) if r["failed"] > 0]
     host = {tree: _spread([pair[i]["host_factor"] for pair in results])
             for i, tree in enumerate(("parent", "change"))}
     return {"pairs": len(results), "metrics": metrics, "host_factor": host, "failed_runs": failed}
+
+
+def _wins_line(m: dict, n: int) -> str:
+    return (f"median ratio {m['median_ratio']:.4f}, change wins {m['wins']}/{n}"
+            f" ({m['ties']} ties); median gap {m['median_gap']:.6g}, parent IQR {m['parent_iqr']:.6g}")
+
+
+def _claim_line(c: dict, n: int) -> str:
+    return (f"claim {'met' if c['met'] else 'not met'}: change wins {c['wins']}/{n}"
+            f" (needs {c['wins_needed']}), median gap {c['median_gap']:.6g}"
+            f" {'beyond' if c['gap_beyond_iqr'] else 'inside'} parent IQR {c['parent_iqr']:.6g}")
 
 
 def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
@@ -162,22 +182,20 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str],
         lines.append(f"  parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}]"
                      f"  change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]"
                      f"  ratio of medians {m['ratio_of_medians']:.4f}")
-        lines.append(f"  median ratio {m['median_ratio']:.4f}, change wins {m['wins']}/{n}"
-                     f" ({m['ties']} ties); median gap {m['median_gap']:.6g},"
-                     f" parent IQR {m['parent_iqr']:.6g}")
+        lines.append("  " + _wins_line(m, n))
         lines.append("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
-        if "raw" in m:
-            raw = m["raw"]
-            lines.append(f"  raw medians, not rescaled: parent {raw['parent']:.6g}"
-                         f"  change {raw['change']:.6g}  ratio of medians {raw['ratio_of_medians']:.4f}")
+        raw = m.get("raw")
+        if raw:
+            lines.append(f"  raw medians, not rescaled: parent {raw['parent']['median']:.6g}"
+                         f"  change {raw['change']['median']:.6g}"
+                         f"  ratio of medians {raw['ratio_of_medians']:.4f}")
+            lines.append("  raw " + _wins_line(raw, n))
         if "verdict" in m:
             lines.append(f"  verdict: {m['verdict']} (bound {m['bound']:g})")
         if "claim" in m:
-            c = m["claim"]
-            lines.append(f"  claim {'met' if c['met'] else 'not met'}: change wins {c['wins']}/{n}"
-                         f" (needs {c['wins_needed']}), median gap {c['median_gap']:.6g}"
-                         f" {'beyond' if c['gap_beyond_iqr'] else 'inside'} parent IQR"
-                         f" {c['parent_iqr']:.6g}")
+            lines.append("  " + _claim_line(m["claim"], n))
+        if raw and "claim" in raw:
+            lines.append("  raw " + _claim_line(raw["claim"], n))
     par, chg = s["host_factor"]["parent"], s["host_factor"]["change"]
     lines.append("host_factor, > 1 on a host slower than the reference")
     lines.append(f"  parent {par['median']:.4g} [{par['q1']:.4g}, {par['q3']:.4g}]"

@@ -13,10 +13,11 @@ gradients are summed in name order.  So a train call of at least
 HELPER_MIN_STEPS steps on a mixture model, where the fork rules of
 `relatedness.usable_cpus` allow it, forks one helper before its first
 step that computes the second block of every step on another CPU, with
-the same bits as one process.  The helper derives the same batch and
+the same bits as one process; a call whose fork fails trains in one
+process, with the same bits again.  The helper derives the same batch and
 noise from (seed, step); block values and flat gradients travel through a
-shared anonymous mmap with 1-byte pipe signals, and both processes run
-the same Adam update, so no parameter is shipped.  The helper leaves with
+shared anonymous mmap with 1-byte pipe signals, and both processes run the
+same Adam update, so no parameter is shipped.  The helper leaves with
 os._exit, so the caller's buffered files are flushed once, by the caller.
 """
 
@@ -38,8 +39,8 @@ import numpy as np
 from . import evaluation, relatedness
 from .autodiff import Tensor, backward
 from .bounds import joint_bound
-from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_random,
-                   pair_related, subset)
+from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_dataset, pair_related,
+                   random_pairs, subset)
 from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model, mixture_split
 from .objective import ObjectiveConfig, final_objective, log_weight_blocks, log_weight_rows
 from .seeding import derive_rng, tag
@@ -373,20 +374,30 @@ class HeldOut:
     oracles: dict[str, evaluation.OracleClassifier]
 
 
-def heldout_sets(cfg: RunConfig) -> HeldOut:
-    """Build a run's held-out sets; its evaluations share them, so every array is read-only.
+def _heldout_related(cfg: RunConfig) -> PairedDataset:
+    """A run's held-out related pairs: each item of a fresh first-modality pool with one partner.
 
+    heldout_sets re-pairs the same pools at random for its mixed set.
     Raises ConfigError when `cfg.eval_items` items cannot make them.
     """
     f, n, seed = cfg.dataset.factors, cfg.eval_items, cfg.dataset.seed + 7919
     try:
         x = generate_unimodal(f, n, f.modality_names[0], seed)
         y = generate_unimodal(f, n, f.modality_names[1], seed + 1)
-        related = pair_related(f, x, y, pairs_per_instance=1, seed=seed)
+        return pair_related(f, x, y, pairs_per_instance=1, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"run {cfg.run_id!r}: no held-out sets from eval_items {n}: {exc}") from exc
-    out = HeldOut(related=related, mixed=pair_random(f, x, y, seed=seed + 2),
-                  oracles=evaluation.oracle_classifiers(f))
+
+
+def heldout_sets(cfg: RunConfig) -> HeldOut:
+    """Build a run's held-out sets; its evaluations share them, so every array is read-only.
+
+    Raises ConfigError when `cfg.eval_items` items cannot make them.
+    """
+    related = _heldout_related(cfg)
+    mixed_seed = related.pair_seed + 2
+    mixed = related.with_pairs(random_pairs(len(related), len(related), mixed_seed), 1, mixed_seed)
+    out = HeldOut(related=related, mixed=mixed, oracles=evaluation.oracle_classifiers(cfg.dataset.factors))
     arrays = [o for c in out.oracles.values() for o in (c.class_means, c.precision)]
     for ds in (out.related, out.mixed):
         arrays += [*ds.observations.values(), *ds.labels.values(), ds.pairs, ds.related]
@@ -442,14 +453,22 @@ def _append_metrics_row(path: str, row: dict) -> None:
 # -- training loop -------------------------------------------------------------------------
 
 
-# Steps a train call needs to pay for its helper.  Measured at the default
-# baseline config on a 2-vCPU host with one BLAS thread, alternating warm
-# calls with and without the helper in one process: a 1-step call read
-# 0.97x, a 2-step call 1.10x (9 of 11 won) and a 3-step call 1.3x.  So the
-# fork, the first exchange and the first steps' copy-on-write faults cost
-# about two steps' savings, and from 10 steps on they cost at most a fifth
-# of them, as SHARE_MIN_CHUNKS bounds a scoring worker's cost.
-HELPER_MIN_STEPS = 10
+# Steps a train call needs to pay for its helper: the fewest at which the
+# helper won on every step shape measured.  Warm calls on a 2-vCPU host with
+# one BLAS thread, alternating with and without the helper in one process,
+# bit-identical; one process's time over the helper's (the 4-step column was
+# taken apart, with the call's checkpoint writes inside the timing):
+#
+#   shape                       1 step  2 steps  3 steps  4 steps     5 steps
+#   cI, B=64, K=30 (default)    1.13x   1.19x    1.20x    0.89-0.91x  1.32-1.39x (26/26 won)
+#   cI, B=48, K=10 (propagate)  0.54x   0.84x    0.89x    0.74-0.92x  1.13x (11/11 won)
+#   baseline, B=64, K=30        0.97x   1.10x    1.3x     0.89-0.92x  1.29-1.43x
+#
+# The fixed cost is the fork (3.4 ms) and first-touch copy-on-write faults,
+# about 2.6 us each: about 3000 in the caller's step 0, 2100 in its step 1
+# and 5400 in the helper.  So a default cI step 0 takes about 27 ms, against
+# 26 ms for a step in one process and 15 ms for a steady step with the helper.
+HELPER_MIN_STEPS = 5
 
 
 class HelperError(RuntimeError):
@@ -461,10 +480,10 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     """Minimize the configured objective; write train/metrics CSVs and checkpoints.
 
     Runs cfg.optimizer.steps steps.  Passing an existing state continues
-    training from its step on (possibly) a new dataset.  A long call on a
-    mixture model computes the second log-weight block of each step in a
-    forked helper (see the module docstring); it has exited when this
-    returns or raises.
+    training from its step on (possibly) a new dataset.  A call of at least
+    HELPER_MIN_STEPS steps on a mixture model computes the second
+    log-weight block of each step in a forked helper (see the module
+    docstring); it has exited when this returns or raises.
     """
     try:
         ds = dataset if dataset is not None else build_dataset(cfg)
@@ -498,8 +517,9 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
         if (model.joint_kind == "moe" and steps >= HELPER_MIN_STEPS
                 and relatedness.usable_cpus() >= 2):
             rows = log_weight_rows(cfg.objective, batch_size) * mixture_split(cfg.objective.num_samples)
-            helper = _Helper(rows, opt, lambda peer: _helper_steps(peer, model, opt, cfg, range(first, last),
-                                                                   batch))
+            with contextlib.suppress(OSError):  # no helper: one process trains the same bits
+                helper = _Helper(rows, opt, lambda peer: _helper_steps(peer, model, opt, cfg,
+                                                                       range(first, last), batch))
         with open(log_path, "a") as log:
             if log_new:
                 log.write(TRAINLOG_SCHEMA + "\n")
@@ -567,14 +587,23 @@ class _Helper:
     """
 
     def __init__(self, block_floats: int, opt: Adam, body):
-        self.mem = mmap.mmap(-1, 8 * (block_floats + opt._m.size))
-        flat = np.frombuffer(self.mem, dtype=np.float64)
-        self.block, self.grad = flat[:block_floats], flat[block_floats:]
+        """Fork the helper; raises OSError, with nothing left open, if it cannot start."""
         self.affinity = os.sched_getaffinity(0)
         cpus = sorted(self.affinity)
-        down_r, down_w = os.pipe()  # caller -> helper
-        up_r, up_w = os.pipe()  # helper -> caller
-        self.pid = os.fork()
+        self.mem = mmap.mmap(-1, 8 * (block_floats + opt._m.size))
+        fds = []
+        try:
+            fds += os.pipe()  # caller -> helper
+            fds += os.pipe()  # helper -> caller
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            self.mem.close()
+            raise
+        down_r, down_w, up_r, up_w = fds
+        flat = np.frombuffer(self.mem, dtype=np.float64)
+        self.block, self.grad = flat[:block_floats], flat[block_floats:]
         if self.pid == 0:
             code = 1
             try:
@@ -680,8 +709,11 @@ def _all_finite(arrays) -> bool:
 
 def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
                         heldout: HeldOut | None = None) -> float:
-    """IWAE estimate of the joint log-likelihood on held-out related pairs, in chunks like score_dataset."""
-    related = (heldout or heldout_sets(cfg)).related
+    """IWAE estimate of the joint log-likelihood on held-out related pairs, in chunks like score_dataset.
+
+    Without `heldout`, only the run's held-out related pairs are built.
+    """
+    related = heldout.related if heldout else _heldout_related(cfg)
     obs = related.pair_observations()
     frozen = model.frozen()
 

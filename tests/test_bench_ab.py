@@ -167,9 +167,33 @@ def test_raw_medians_ratio_is_reported_for_timing_metrics_only():
     metrics = bench_ab.summary(pairs, better, bounds)["metrics"]
     rate = metrics["train_pairs_per_s"]
     assert rate["ratio_of_medians"] > 1.09
-    assert rate["raw"] == {"parent": 100.0, "change": 100.0, "ratio_of_medians": 1.0}
+    raw = rate["raw"]
+    assert (raw["parent"]["median"], raw["change"]["median"], raw["ratio_of_medians"]) == (100.0, 100.0, 1.0)
+    assert (raw["wins"], raw["ties"], raw["median_gap"], raw["ratios"]) == (0, 2, 0.0, [1.0, 1.0])
     assert "raw" not in metrics["heldout_iwae_nll"]
     lines = bench_ab.summarize(pairs, better, bounds)
     at = lines.index("  raw medians, not rescaled: parent 100  change 100  ratio of medians 1.0000")
-    assert lines[at + 1] == "  verdict: within bound (bound 0.25)"
+    assert lines[at + 1] == "  raw median ratio 1.0000, change wins 0/2 (2 ties); median gap 0, parent IQR 0"
+    assert lines[at + 2] == "  verdict: within bound (bound 0.25)"
     assert sum("raw medians" in line for line in lines) == 1
+
+
+def test_claim_is_judged_on_raw_medians_too():
+    # every change run sat at a larger host_factor: the rescaled rates read 10-18% faster,
+    # while the raw medians lose three pairs of ten
+    def line(rate, raw, host_factor):
+        return json.dumps({"failed": 0, "host_factor": host_factor, "medians": {"train_pairs_per_s": raw},
+                           "metrics": {"train_pairs_per_s": {"value": rate, "unit": "pairs/s"}}})
+
+    parent_raw = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    change_raw = [104.0, 105.0, 97.0, 106.0, 96.0, 104.0, 98.0, 105.0, 104.0, 106.0]
+    pairs = [(line(r * 1.5, r, 1.5), line(c * 1.7, c, 1.7)) for r, c in zip(parent_raw, change_raw)]
+    better = {"train_pairs_per_s": "higher"}
+    rate = bench_ab.summary(pairs, better, claimed="train_pairs_per_s")["metrics"]["train_pairs_per_s"]
+    assert rate["claim"]["met"] and rate["claim"]["wins"] == 10
+    raw = rate["raw"]["claim"]
+    assert not raw["met"] and (raw["wins"], raw["wins_needed"]) == (7, 9) and raw["gap_beyond_iqr"]
+    lines = bench_ab.summarize(pairs, better, claimed="train_pairs_per_s")
+    at = [i for i, text in enumerate(lines) if "claim" in text]
+    assert [lines[i].split(":")[0] for i in at] == ["  claim met", "  raw claim not met"]
+    assert lines[at[1]].startswith("  raw claim not met: change wins 7/10 (needs 9), median gap 4 beyond")

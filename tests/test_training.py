@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib.util
 import json
@@ -365,21 +366,60 @@ def all_reaped(helpers) -> bool:
         return True
 
 
+def trained_files_and_params(cfg):
+    model = train(cfg).model
+    files = [Path(cfg.output_dir, f"t.{kind}.csv").read_text() for kind in ("train", "metrics")]
+    return files, {k: p.value for k, p in model.params.items()}
+
+
+def assert_same_run(a, b):
+    assert a[0] == b[0]
+    for k, value in a[1].items():
+        assert np.array_equal(b[1][k], value), k
+
+
 @forked_helper
-@pytest.mark.parametrize("variant", ["baseline", "cI"])
+@pytest.mark.parametrize("variant", ["baseline", "cI", "cC"])
 def test_helper_trains_the_bits_of_one_process(tmp_path, monkeypatch, helpers, variant):
     runs = {}
-    assert training.HELPER_MIN_STEPS <= 12
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        cfg = replace(tiny_config(tmp_path / str(cpus), variant=variant, steps=12), eval_every=5)
-        model = train(cfg).model
-        files = [open(os.path.join(cfg.output_dir, f"t.{kind}.csv")).read() for kind in ("train", "metrics")]
-        runs[cpus] = files, {k: p.value for k, p in model.params.items()}
+        cfg = replace(tiny_config(tmp_path / str(cpus), variant=variant, steps=training.HELPER_MIN_STEPS),
+                      eval_every=2)
+        runs[cpus] = trained_files_and_params(cfg)
         assert len(helpers) == cpus - 1 and all_reaped(helpers)
-    assert runs[2][0] == runs[1][0]
-    for k, value in runs[1][1].items():
-        assert np.array_equal(runs[2][1][k], value), k
+    assert_same_run(runs[1], runs[2])
+
+
+@forked_helper
+def test_calls_of_helper_min_steps_and_more_fork_one_helper(tmp_path, helpers):
+    gate = training.HELPER_MIN_STEPS
+    train(tiny_config(tmp_path / "short", steps=gate - 1), evaluate=False)
+    assert helpers == []
+    train(tiny_config(tmp_path / "long", steps=gate), evaluate=False)
+    assert len(helpers) == 1 and all_reaped(helpers)
+
+
+@forked_helper
+def test_a_failed_fork_trains_in_one_process_and_leaves_nothing_open(tmp_path, monkeypatch, helpers):
+    def fds():
+        return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = trained_files_and_params(tiny_config(tmp_path / "one", steps=training.HELPER_MIN_STEPS))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = fds()
+    two = trained_files_and_params(tiny_config(tmp_path / "two", steps=training.HELPER_MIN_STEPS))
+    assert fds() == before
+    assert forks == [1] and helpers == [] and all_reaped(helpers)
+    assert_same_run(one, two)
 
 
 @forked_helper
@@ -548,6 +588,14 @@ def test_heldout_loglik_finite(tmp_path):
     state = train(cfg, evaluate=False)
     val = mean_heldout_loglik(state.model, cfg, num_samples=4)
     assert np.isfinite(val)
+
+
+def test_heldout_loglik_builds_only_the_related_pairs(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "runs")
+    model = build_model_from_config(cfg)
+    shared = mean_heldout_loglik(model, cfg, num_samples=4, heldout=heldout_sets(cfg))
+    monkeypatch.setattr(training, "heldout_sets", lambda c: pytest.fail("built the mixed set and oracles"))
+    assert mean_heldout_loglik(model, cfg, num_samples=4) == shared
 
 
 def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatch):
