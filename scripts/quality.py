@@ -63,7 +63,7 @@ def _row_metrics(row: dict) -> dict:
 
 def _pin_worker(taken, cpus: list[int]) -> None:
     """Pool initializer: bind this worker to the next CPU of `cpus`, so that it forks no
-    scoring worker or training helper (`relatedness.usable_cpus`) to compete with the others."""
+    scoring or training peer (`peers.usable_cpus`) to compete with the others."""
     with taken.get_lock():
         cpu = cpus[taken.value % len(cpus)]
         taken.value += 1

@@ -122,22 +122,24 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, s
     is NaN.  The loss is computed once, from the values of the
     log_weight_blocks held as a leaf, whose gradient then seeds each block.
 
-    `remote` stands for a process that computes a mixture's last block:
-    only the first is computed here, remote.values(shape) returns the last
-    one's values, and remote.seed(columns) hands it its columns of
-    dL/d log_w.
+    `remote` stands for a peer (see peers) that computes a mixture's last
+    block: only the first is computed here.  The head of remote.values
+    holds the last block's values once remote.wait() returns, and then
+    takes its columns of dL/d log_w before remote.send().
     """
     first = [model.modalities[0].name] if remote is not None else None
     blocks = log_weight_blocks(model, batch, cfg, seed, first)
     values = [w.value for w in blocks.values()]
     if remote is not None:
-        values.append(remote.values(values[0].shape))
+        remote.wait()
+        values.append(remote.values[:values[0].size].reshape(values[0].shape))
     log_w = Tensor.param(np.concatenate(values, axis=1))
     loss, term1, term2 = _loss(log_w, np.atleast_2d(batch[model.modalities[0].name]).shape[0], cfg)
     grad = backward(loss, {"log_w": log_w})["log_w"]
     seeds = np.split(grad, np.cumsum([v.shape[1] for v in values])[:-1], axis=1)
     if remote is not None:
-        remote.seed(seeds[-1])
+        remote.values[:seeds[-1].size].reshape(seeds[-1].shape)[...] = seeds[-1]
+        remote.send()
     own = {n: (w, s) for (n, w), s in zip(blocks.items(), seeds)}
     fused = Tensor(loss.value, parents=tuple((w, lambda g, s=s: g * s) for w, s in own.values()))
     return Objective(fused, term1, term2, own)

@@ -13,21 +13,16 @@ continuation run.
 
 A scoring pass runs in fixed chunks of pairs (`map_chunks`).  A long one
 deals its chunks into contiguous shares, one per usable CPU, and scores
-every share but the first in a forked worker process while the caller
+every share but the first in a forked peer (see peers) while the caller
 scores the first.  Each chunk holds the same rows for any number of
 shares, so the scores are the same bits whichever process computed them.
-Workers fork under the rules of `usable_cpus`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import os
-import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +30,7 @@ import numpy as np
 from .bounds import (bound_from_log_weights, joint_bound, mixture_joint_log_weights, unimodal_draws,
                      unimodal_marginal)
 from .data import PairedDataset, random_pairs, subset, subset_rows
+from .peers import Peer, usable_cpus
 
 THRESHOLD_RULES = ("max-f1", "max-accuracy")
 
@@ -43,14 +39,16 @@ THRESHOLD_RULES = ("max-f1", "max-accuracy")
 # them from the heap.  Larger ones can cross glibc's dynamic mmap
 # threshold, which earlier work in the process sets, and then every chunk
 # maps and faults them in afresh.  A chunk is also the unit a pass deals
-# to worker processes (`map_chunks`); its rows, and so its scores' bits,
-# do not depend on the number of workers.
+# to forked peers (`map_chunks`); its rows, and so its scores' bits, do
+# not depend on the number of peers.
 CHUNK_PAIRS = 64
 
-# Chunks a share needs to pay for its worker.  Starting a forked worker
-# and collecting its values took 8-10 ms on a 2-core host, about one
-# 64-pair chunk at K=30, so a worker costs at most a fifth of its share.
-# A 256-pair pass (4 chunks) stays in the caller.
+# Chunks a share needs to pay for its peer.  Starting a forked peer and
+# collecting its values took 2.1-2.3 ms for a share with no work on a
+# 2-vCPU host, a quarter of a 64-pair chunk at K=30 (8.2 ms in one
+# process); first-touch copy-on-write faults come on top.  A 640-pair pass
+# (two shares of 5 chunks) took 62 ms, against 82 ms in one process.  A
+# 256-pair pass (4 chunks) stays in the caller.
 SHARE_MIN_CHUNKS = 5
 
 
@@ -117,41 +115,39 @@ def share_count(num_chunks: int, cpus: int) -> int:
     return max(1, min(cpus, num_chunks // SHARE_MIN_CHUNKS))
 
 
-def usable_cpus() -> int:
-    """CPUs that forked workers may use: this process's affinity set, or 1 where none may fork.
-
-    The one statement of the fork rules, for scoring workers (`map_chunks`)
-    and the training helper (`training.train`): a process forks workers
-    only on Linux, with at least 2 CPUs in its affinity set, and while it
-    runs no other thread, since fork copies only the calling one.
-    """
-    if not sys.platform.startswith("linux") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def map_chunks(fn, n: int, chunk: int = CHUNK_PAIRS) -> np.ndarray:
     """The f64 values fn(start, stop) for rows start..stop-1 of every chunk of range(n), in order.
 
     The chunks are dealt into `share_count` contiguous shares.  Shares
-    after the first run in forked worker processes, which inherit `fn`
-    and return their values; the caller runs the first share meanwhile.
-    A chunk that raises in a worker raises the same exception type here,
-    and every worker has exited when this returns or raises.
+    after the first run in forked peers, which inherit `fn` and return
+    their values; the caller runs the first share meanwhile, and any share
+    whose peer cannot start after it.  A chunk that raises in a peer raises
+    the same exception here, and every peer has exited when this returns
+    or raises.
     """
     out = np.empty(n, dtype=np.float64)
     num_chunks = -(-n // chunk)
     shares = share_count(num_chunks, usable_cpus())
     edges = [chunk * (num_chunks * i // shares) for i in range(shares)] + [n]
-    pool = None
-    if shares > 1:
-        pool = ProcessPoolExecutor(shares - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_install_share_fn, initargs=(fn, chunk))
-    with pool or contextlib.nullcontext():
-        futures = [(lo, hi, pool.submit(_run_share, lo, hi)) for lo, hi in zip(edges[1:-1], edges[2:])]
-        _fill(fn, chunk, 0, edges[1], out)
-        for lo, hi, future in futures:
-            out[lo:hi] = future.result()
+    cpus = sorted(os.sched_getaffinity(0)) if shares > 1 else []
+    peers = {}
+    try:
+        for cpu, lo, hi in zip(cpus[1:], edges[1:-1], edges[2:]):
+            def body(peer, lo=lo, hi=hi):
+                _fill(fn, chunk, lo, hi, peer.values)
+                peer.send()
+
+            with contextlib.suppress(OSError):  # no peer: the caller scores the share, with the same bits
+                peers[lo] = Peer(hi - lo, cpu, body)
+        for lo, hi in zip(edges, edges[1:]):
+            if lo not in peers:
+                _fill(fn, chunk, lo, hi, out[lo:hi])
+        for lo, peer in peers.items():
+            peer.wait()
+            out[lo:lo + peer.values.size] = peer.values
+    finally:
+        for peer in reversed(peers.values()):  # each restores the affinity set it started from
+            peer.stop()
     return out
 
 
@@ -167,19 +163,6 @@ def _fill(fn, chunk: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         out[start - lo:stop - lo] = fn(start, stop)
         start = stop
     return out
-
-
-_share_fn = None  # (fn, chunk), set in each forked worker by its initializer
-
-
-def _install_share_fn(fn, chunk: int) -> None:
-    global _share_fn
-    _share_fn = (fn, chunk)
-
-
-def _run_share(lo: int, hi: int) -> np.ndarray:
-    fn, chunk = _share_fn
-    return _fill(fn, chunk, lo, hi, np.empty(hi - lo, dtype=np.float64))
 
 
 def score_dataset(model, ds: PairedDataset, num_samples: int, seed: int,

@@ -11,14 +11,13 @@ backward per log-weight block, one block per modality for a mixture
 posterior, starts from that block's columns of dL/d log_w; the block
 gradients are summed in name order.  So a train call of at least
 HELPER_MIN_STEPS steps on a mixture model, where the fork rules of
-`relatedness.usable_cpus` allow it, forks one helper before its first
-step that computes the second block of every step on another CPU, with
-the same bits as one process; a call whose fork fails trains in one
-process, with the same bits again.  The helper derives the same batch and
-noise from (seed, step); block values and flat gradients travel through a
-shared anonymous mmap with 1-byte pipe signals, and both processes run the
-same Adam update, so no parameter is shipped.  The helper leaves with
-os._exit, so the caller's buffered files are flushed once, by the caller.
+`peers.usable_cpus` allow it, starts one helper peer before its first step
+that computes the second block of every step on another CPU, with the
+same bits as one process; a call whose fork fails trains in one process,
+with the same bits again.  The helper derives the same batch and noise
+from (seed, step); the block's values and seed, then the flat gradient,
+travel through the peer's shared values, and both processes run the same
+Adam update, so no parameter is shipped.
 """
 
 from __future__ import annotations
@@ -26,12 +25,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import mmap
 import os
-import signal
 import struct
-import sys
-import traceback
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -43,6 +38,7 @@ from .data import (FactorSpec, PairedDataset, generate_unimodal, make_related_da
                    random_pairs, subset)
 from .models import TRAINED_JOINT_KINDS, MultimodalModel, ModalitySpec, build_model, mixture_split
 from .objective import ObjectiveConfig, final_objective, log_weight_blocks, log_weight_rows
+from .peers import Peer, usable_cpus
 from .seeding import derive_rng, tag
 
 CHECKPOINT_MAGIC = b"CMVAE"
@@ -471,10 +467,6 @@ def _append_metrics_row(path: str, row: dict) -> None:
 HELPER_MIN_STEPS = 5
 
 
-class HelperError(RuntimeError):
-    """The training helper died or failed; its traceback, if any, went to stderr."""
-
-
 def train(cfg: RunConfig, dataset: PairedDataset | None = None,
           state: TrainState | None = None, evaluate: bool = True) -> TrainState:
     """Minimize the configured objective; write train/metrics CSVs and checkpoints.
@@ -514,12 +506,11 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
     helper = None
     log_new = not os.path.exists(log_path)
     try:
-        if (model.joint_kind == "moe" and steps >= HELPER_MIN_STEPS
-                and relatedness.usable_cpus() >= 2):
+        if model.joint_kind == "moe" and steps >= HELPER_MIN_STEPS and usable_cpus() >= 2:
             rows = log_weight_rows(cfg.objective, batch_size) * mixture_split(cfg.objective.num_samples)
             with contextlib.suppress(OSError):  # no helper: one process trains the same bits
-                helper = _Helper(rows, opt, lambda peer: _helper_steps(peer, model, opt, cfg,
-                                                                       range(first, last), batch))
+                helper = Peer(rows + opt._m.size, sorted(os.sched_getaffinity(0))[1],
+                              lambda peer: _helper_steps(peer, rows, model, opt, cfg, range(first, last), batch))
         with open(log_path, "a") as log:
             if log_new:
                 log.write(TRAINLOG_SCHEMA + "\n")
@@ -530,8 +521,9 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                 if not np.isfinite(loss.value):
                     raise NumericalAbort(step, last_good)
                 grad = _block_gradient(blocks.values(), opt)
-                if helper is not None:
-                    grad = helper.add_gradient(grad)
+                if helper is not None:  # plus the helper's block gradient, in name order
+                    helper.wait()
+                    grad = np.add(grad, helper.values[rows:], out=helper.values[rows:])
                 if not np.isfinite(grad).all():
                     raise NumericalAbort(step, last_good)
                 if helper is not None:
@@ -573,110 +565,20 @@ def _block_gradient(blocks, opt: Adam, out: np.ndarray | None = None) -> np.ndar
     return total
 
 
-class _Helper:
-    """The caller's end of a forked training helper, which runs `body(peer)` with the other end.
-
-    One shared anonymous mmap holds a block of log weights (its values, then
-    their seed) and a flat gradient; each side signals the other with one
-    byte on its own pipe once the data it wrote is in place.  For the call,
-    the caller and the helper each keep to one CPU of the caller's affinity
-    set: a process woken by a pipe signal tends to be woken on the
-    signaller's CPU, and unpinned 10-step calls on a 2-vCPU host ran at
-    0.8x one process as often as at 1.3x.  So a scoring pass inside the
-    call, as in evaluate_model, sees one usable CPU and runs in the caller.
-    """
-
-    def __init__(self, block_floats: int, opt: Adam, body):
-        """Fork the helper; raises OSError, with nothing left open, if it cannot start."""
-        self.affinity = os.sched_getaffinity(0)
-        cpus = sorted(self.affinity)
-        self.mem = mmap.mmap(-1, 8 * (block_floats + opt._m.size))
-        fds = []
-        try:
-            fds += os.pipe()  # caller -> helper
-            fds += os.pipe()  # helper -> caller
-            self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            self.mem.close()
-            raise
-        down_r, down_w, up_r, up_w = fds
-        flat = np.frombuffer(self.mem, dtype=np.float64)
-        self.block, self.grad = flat[:block_floats], flat[block_floats:]
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(down_w)
-                os.close(up_r)
-                self.read_fd, self.write_fd = down_r, up_w
-                _pin({cpus[1]})
-                body(self)
-                code = 0
-            except BaseException:  # reported and ended here: the child never unwinds into the caller
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-        os.close(down_r)
-        os.close(up_w)
-        self.read_fd, self.write_fd = up_r, down_w
-        _pin({cpus[0]})
-
-    def send(self) -> None:
-        os.write(self.write_fd, b"+")
-
-    def wait(self) -> None:
-        if os.read(self.read_fd, 1) != b"+":
-            raise HelperError("the training helper exited before its step was done; "
-                              "its traceback, if any, is on stderr")
-
-    def values(self, shape) -> np.ndarray:
-        """The helper's block of log weights."""
-        self.wait()
-        return self.block[:math.prod(shape)].reshape(shape)
-
-    def seed(self, columns: np.ndarray) -> None:
-        """Hand the helper its block's columns of dL/d log_w."""
-        self.block[:columns.size].reshape(columns.shape)[...] = columns
-        self.send()
-
-    def add_gradient(self, grad: np.ndarray) -> np.ndarray:
-        """`grad` plus the helper's block gradient, in name order, in the shared vector."""
-        self.wait()
-        return np.add(grad, self.grad, out=self.grad)
-
-    def stop(self) -> None:
-        """End the helper wherever it is, and reap it."""
-        os.close(self.read_fd)
-        os.close(self.write_fd)
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        os.waitpid(self.pid, 0)
-        _pin(self.affinity)
-
-
-def _pin(cpus: set[int]) -> None:
-    """Keep this process to `cpus`, if the host lets it."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-def _helper_steps(peer: _Helper, model, opt: Adam, cfg: RunConfig, steps, batch) -> None:
+def _helper_steps(peer: Peer, rows: int, model, opt: Adam, cfg: RunConfig, steps, batch) -> None:
     """The helper's side of train: the last log-weight block and the Adam update of each step."""
     last = [model.modalities[-1].name]
+    block, grad = peer.values[:rows], peer.values[rows:]  # the block's values, then its seed; the flat gradient
     for step in steps:
         obs, step_seed = batch(step)
         (w,) = log_weight_blocks(model, obs, cfg.objective, step_seed, last).values()
-        peer.block[:w.value.size] = w.value.reshape(-1)
+        block[...] = w.value.reshape(-1)
         peer.send()
         peer.wait()
-        _block_gradient([(w, peer.block[:w.value.size].reshape(w.shape))], opt, out=peer.grad)
+        _block_gradient([(w, block.reshape(w.shape))], opt, out=grad)
         peer.send()
         peer.wait()
-        opt.step(peer.grad)
+        opt.step(grad)
 
 
 def check_config(cfg: RunConfig, num_pairs: int, pmi_num_samples: int | None = None) -> None:

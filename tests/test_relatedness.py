@@ -1,6 +1,8 @@
+import errno
 import math
-import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from cmvae.data import FactorSpec, generate_unimodal, make_related_dataset, pair
 from cmvae.evaluation import AnalyticLinearModel, LinearGaussianOracle, make_oracle
 from cmvae import relatedness
 from cmvae.models import ModalitySpec, MultimodalModel, build_model
+from cmvae.peers import PeerError
 from cmvae.relatedness import (
     PropagationConfig,
     carve_pipeline_datasets,
@@ -156,7 +159,7 @@ def pid_rows(start, stop):
 
 @forked_workers
 @pytest.mark.parametrize("joint_kind", ["moe", "poe"])
-def test_score_dataset_same_bits_for_any_worker_count(monkeypatch, joint_kind):
+def test_score_dataset_same_bits_for_any_worker_count(monkeypatch, helpers, all_reaped, joint_kind):
     spec = FactorSpec(num_classes=3, obs_dims=(5, 4), private_dims=(1, 1),
                       likelihoods=("bernoulli", "gaussian"))
     # 115 pairs in chunks of 7 make 17 chunks, dealt 5/6/6 to three shares;
@@ -170,22 +173,23 @@ def test_score_dataset_same_bits_for_any_worker_count(monkeypatch, joint_kind):
         assert relatedness.share_count(17, cpus) == cpus
         scores[cpus] = score_dataset(model, mixed, 6, seed=4, chunk=7)
     assert np.array_equal(scores[2], scores[1]) and np.array_equal(scores[3], scores[1])
-    assert multiprocessing.active_children() == []
+    assert len(helpers) == 3 and all_reaped(helpers)
 
 
 @forked_workers
-def test_map_chunks_deals_contiguous_shares_and_starts_no_worker_below_the_minimum(monkeypatch):
+def test_map_chunks_deals_contiguous_shares_and_starts_no_worker_below_the_minimum(monkeypatch, helpers,
+                                                                                    all_reaped):
     usable_cpus(monkeypatch, 2)
     pids = map_chunks(pid_rows, 10 * 64 + 5)  # 11 chunks: the caller's 5, then a worker's 6
     assert (pids[:5 * 64] == os.getpid()).all()
-    assert len(set(pids[5 * 64:])) == 1 and pids[-1] != os.getpid()
-    assert multiprocessing.active_children() == []
+    assert set(pids[5 * 64:]) == {helpers[0].pid}
+    assert len(helpers) == 1 and all_reaped(helpers)
 
-    def no_pool(*args, **kwargs):
+    def no_peer(*args, **kwargs):
         raise AssertionError("a worker process was started")
 
     usable_cpus(monkeypatch, 8)
-    monkeypatch.setattr(relatedness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(relatedness, "Peer", no_peer)
     chunks = 2 * relatedness.SHARE_MIN_CHUNKS - 1  # one chunk short of two shares
     assert (map_chunks(pid_rows, chunks * 64) == os.getpid()).all()
     assert map_chunks(pid_rows, 0).shape == (0,)
@@ -208,7 +212,7 @@ def test_a_trailing_single_row_joins_the_chunk_before_it():
 
 
 @forked_workers
-def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
+def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch, helpers, all_reaped):
     usable_cpus(monkeypatch, 2)
     # the model reads 5 columns of m1; these observations have 6
     spec = FactorSpec(num_classes=3, obs_dims=(6, 4), private_dims=(1, 1),
@@ -217,7 +221,7 @@ def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
                         generate_unimodal(spec, 640, "m2", 2), seed=3)
     with pytest.raises(ValueError):
         score_dataset(perturbed_model(spec.likelihoods), mixed, 6, seed=4)
-    assert multiprocessing.active_children() == []
+    assert len(helpers) == 1 and all_reaped(helpers)
 
     def fails_in_the_worker(start, stop):
         if start >= 5 * 64:
@@ -226,7 +230,64 @@ def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(monkeypatch):
 
     with pytest.raises(ZeroDivisionError, match="chunk at row 320"):
         map_chunks(fails_in_the_worker, 10 * 64)
-    assert multiprocessing.active_children() == []
+    assert len(helpers) == 2 and all_reaped(helpers)
+
+
+class TwoArgError(Exception):
+    """Pickles, but its two-argument constructor cannot rebuild it from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}{b}")
+
+
+@forked_workers
+@pytest.mark.parametrize("how", ["dies", "unpicklable"])
+def test_a_worker_that_dies_or_sends_no_exception_raises_peer_error_and_leaves_no_child(
+        monkeypatch, helpers, all_reaped, how):
+    usable_cpus(monkeypatch, 2)
+
+    def fails_in_the_worker(start, stop):
+        if start >= 5 * 64 and how == "dies":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if start >= 5 * 64:
+            raise TwoArgError("chunk at row ", start)
+        return np.zeros(stop - start)
+
+    with pytest.raises(PeerError):
+        map_chunks(fails_in_the_worker, 10 * 64)
+    assert len(helpers) == 1 and all_reaped(helpers)
+
+
+@forked_workers
+def test_a_failed_fork_scores_in_the_caller_and_leaves_nothing_open(monkeypatch, helpers, all_reaped):
+    def fds():
+        return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+    spec = FactorSpec()
+    mixed = pair_random(spec, generate_unimodal(spec, 640, "m1", 1),
+                        generate_unimodal(spec, 640, "m2", 2), seed=3)
+    model = perturbed_model(spec.likelihoods, obs_dims=spec.obs_dims)
+    usable_cpus(monkeypatch, 1)
+    one = score_dataset(model, mixed, 6, seed=4)
+    usable_cpus(monkeypatch, 2)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = fds()
+    assert np.array_equal(score_dataset(model, mixed, 6, seed=4), one)
+    assert fds() == before
+    assert forks == [1] and helpers == [] and all_reaped(helpers)
+
+
+def test_importing_cmvae_loads_no_process_pool():
+    code = "import sys, cmvae; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_fresh_moe_with_zeroed_decoders_scores_zero_pmi():

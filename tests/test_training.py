@@ -22,6 +22,7 @@ from cmvae import evaluation, relatedness, training
 from cmvae.evaluation import make_oracle
 from cmvae.models import ModalitySpec, build_model
 from cmvae.objective import ObjectiveConfig, final_objective
+from cmvae.peers import PeerError
 from cmvae.training import (
     Adam,
     ConfigError,
@@ -331,39 +332,10 @@ forked_helper = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 
 @pytest.fixture
-def helpers(monkeypatch):
-    """The helpers that train calls start, on 2 usable CPUs; a call that hangs fails the test."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    started, real = [], training._Helper
-
-    def counting(*args):
-        started.append(real(*args))
-        return started[-1]
-
-    monkeypatch.setattr(training, "_Helper", counting)
-    previous = signal.signal(signal.SIGALRM, lambda *a: pytest.fail("a train call hung"))
-    signal.alarm(120)
-    yield started
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
 def helper_forks(monkeypatch, helpers):
     """As `helpers`, with every train call forking its helper."""
     monkeypatch.setattr(training, "HELPER_MIN_STEPS", 1)
     return helpers
-
-
-def all_reaped(helpers) -> bool:
-    """No helper of `helpers` is left, running or unreaped, and no other child is waiting to be."""
-    for helper in helpers:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(helper.pid, os.WNOHANG)
-    try:
-        return os.waitpid(-1, os.WNOHANG) == (0, 0)  # children of other tests may still run
-    except ChildProcessError:
-        return True
 
 
 def trained_files_and_params(cfg):
@@ -380,7 +352,7 @@ def assert_same_run(a, b):
 
 @forked_helper
 @pytest.mark.parametrize("variant", ["baseline", "cI", "cC"])
-def test_helper_trains_the_bits_of_one_process(tmp_path, monkeypatch, helpers, variant):
+def test_helper_trains_the_bits_of_one_process(tmp_path, monkeypatch, helpers, all_reaped, variant):
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -392,7 +364,7 @@ def test_helper_trains_the_bits_of_one_process(tmp_path, monkeypatch, helpers, v
 
 
 @forked_helper
-def test_calls_of_helper_min_steps_and_more_fork_one_helper(tmp_path, helpers):
+def test_calls_of_helper_min_steps_and_more_fork_one_helper(tmp_path, helpers, all_reaped):
     gate = training.HELPER_MIN_STEPS
     train(tiny_config(tmp_path / "short", steps=gate - 1), evaluate=False)
     assert helpers == []
@@ -401,7 +373,7 @@ def test_calls_of_helper_min_steps_and_more_fork_one_helper(tmp_path, helpers):
 
 
 @forked_helper
-def test_a_failed_fork_trains_in_one_process_and_leaves_nothing_open(tmp_path, monkeypatch, helpers):
+def test_a_failed_fork_trains_in_one_process_and_leaves_nothing_open(tmp_path, monkeypatch, helpers, all_reaped):
     def fds():
         return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
 
@@ -423,13 +395,13 @@ def test_a_failed_fork_trains_in_one_process_and_leaves_nothing_open(tmp_path, m
 
 
 @forked_helper
-def test_checkpoint_restore_equals_uninterrupted_with_the_helper(tmp_path, helper_forks):
+def test_checkpoint_restore_equals_uninterrupted_with_the_helper(tmp_path, helper_forks, all_reaped):
     restore_equals_uninterrupted(tmp_path)
     assert len(helper_forks) == 3 and all_reaped(helper_forks)
 
 
 @forked_helper
-def test_numerical_abort_leaves_no_helper(tmp_path, helper_forks):
+def test_numerical_abort_leaves_no_helper(tmp_path, helper_forks, all_reaped):
     cfg = tiny_config(tmp_path / "runs", steps=4)
     model = build_model_from_config(cfg)
     model.params["dec.m1.b_out"].value = np.full_like(model.params["dec.m1.b_out"].value, np.nan)
@@ -441,7 +413,7 @@ def test_numerical_abort_leaves_no_helper(tmp_path, helper_forks):
 
 @forked_helper
 @pytest.mark.parametrize("how", ["raises", "dies"])
-def test_a_failing_helper_fails_the_call_and_leaves_no_child(tmp_path, monkeypatch, helper_forks, how):
+def test_a_failing_helper_fails_the_call_and_leaves_no_child(tmp_path, monkeypatch, helper_forks, all_reaped, how):
     caller = os.getpid()
     real = training.log_weight_blocks  # only the helper computes its block through this name
 
@@ -453,7 +425,8 @@ def test_a_failing_helper_fails_the_call_and_leaves_no_child(tmp_path, monkeypat
         return real(*args)
 
     monkeypatch.setattr(training, "log_weight_blocks", failing)
-    with pytest.raises(training.HelperError, match="helper exited"):
+    expected = (ZeroDivisionError, "in the helper") if how == "raises" else (PeerError, "exited")
+    with pytest.raises(expected[0], match=expected[1]):
         train(tiny_config(tmp_path / "runs", steps=4), evaluate=False)
     assert len(helper_forks) == 1 and all_reaped(helper_forks)
 
