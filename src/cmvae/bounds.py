@@ -18,12 +18,13 @@ estimates are deterministic under a fixed seed and invariant to batch
 permutation up to BLAS rounding (a matrix product may round the last bits
 of a row differently at another number of rows).  The mixture posterior
 keys each draw on the one modality row it comes from, so scoring pair
-(x_i, y_j) out of a batch through `pairs` gives the same estimate as
-scoring it alone.  There, every term that depends on one row only (its
-draws, the prior, that modality's likelihood and its mixture component)
-is evaluated once per row; each pair gathers its cross terms from matrix
-products over all in-batch row pairs (distributions.pairwise_log_prob).
-Without `pairs`, as in PMI scoring, only their diagonal is evaluated.
+(x_i, y_j) out of a batch through joint_log_weight_blocks' `pairs` gives
+the same estimate as scoring it alone.  There, every term that depends on
+one row only (its draws, the prior, that modality's likelihood and its
+mixture component) is evaluated once per row; each pair gathers its cross
+terms from matrix products over all in-batch row pairs
+(distributions.pairwise_log_prob).  Without `pairs`, as in PMI scoring,
+only their diagonal is evaluated.
 """
 
 from __future__ import annotations
@@ -32,32 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .distributions import (DiagonalGaussian, mixture_log_density, pairwise_log_prob,
                             standard_normal_log_prob)
 from .models import mixture_split
 from .seeding import per_row_normal
 
 
-def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
-                      pairs: dict | None = None) -> Tensor:
-    """Log importance weights log p(z, obs) - log q(z | obs), shape (P, K).
-
-    Pair p is row pairs[m][p] of every modality m; without `pairs`, P = B
-    and pair p is row p of every modality.  With `pairs`, a mixture
-    posterior draws, decodes and scores each modality row's own samples
-    once, and gathers each pair's cross terms from all-pairs matrices
-    (joint_log_weight_blocks).  Other posteriors condition on the whole
-    pair, so the pair rows are gathered and scored as a batch.
+def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int) -> Tensor:
+    """Log importance weights log p(z, obs) - log q(z | obs), shape (B, K); item b is row b of every modality.
 
     Modalities are folded in sorted-name order so the result is bit-stable
     under relabeling of the modality list.
     """
     obs = {n: np.atleast_2d(np.asarray(v, dtype=np.float64)) for n, v in obs_by_modality.items()}
-    if pairs is not None and model.joint_kind == "moe":
-        return concat(list(joint_log_weight_blocks(model, obs, num_samples, seed, pairs).values()), axis=1)
-    if pairs is not None:
-        obs = {n: obs[n][rows] for n, rows in pairs.items()}
     z, log_q = model.joint_posterior_samples(obs, num_samples, seed)
     log_p = standard_normal_log_prob(z)
     liks = model.decode_all(z)
@@ -67,24 +56,34 @@ def joint_log_weights(model, obs_by_modality: dict, num_samples: int, seed: int,
 
 
 def joint_log_weight_blocks(model, obs_by_modality: dict, num_samples: int, seed: int,
-                            pairs: dict | None = None, names=None) -> dict[str, Tensor]:
-    """joint_log_weights as column blocks by name, each its own graph but for the encoders.
+                            pairs: dict | None = None, names=None, draws=None) -> dict[str, Tensor]:
+    """Log weights of pairs as column blocks by name, each its own graph but for the encoders.
 
+    Pair p is row pairs[m][p] of every modality m (row p without `pairs`).
     A mixture posterior's weights split into one block per modality m, the
     (P, S/M) weights at the S/M draws from each pair's row of m; block m
     decodes only those draws, so the blocks share only the two encoders'
-    outputs.  `names` picks the blocks to compute (default: all).  All
-    blocks in name order are joint_log_weights' columns, bit for bit with
-    `pairs`.  Any other posterior is one block, named "joint".
+    outputs.  `names` picks the blocks to compute (default: all).  draws[m],
+    if given, holds at least S/M unimodal_draws per row of m made with
+    `seed`, whose first S/M block m scores.  All blocks in name order are
+    joint_log_weights of the gathered pair rows up to rounding, bit for bit
+    without `pairs`.  Any other posterior is one block, named "joint", of
+    the gathered pair rows.
     """
-    if model.joint_kind != "moe":
-        return {"joint": joint_log_weights(model, obs_by_modality, num_samples, seed, pairs)}
-    per = mixture_split(num_samples)
     obs = {m.name: np.atleast_2d(np.asarray(obs_by_modality[m.name], dtype=np.float64))
            for m in model.modalities}
-    q = {n: model.encode_unimodal(n, v).per_row() for n, v in obs.items()}
-    return {n: mixture_block(model, obs, q, n, unimodal_draws(model, n, obs[n], per, seed, q[n]), per, pairs)
-            for n in (names or sorted(q))}
+    if model.joint_kind != "moe":
+        if pairs is not None:
+            obs = {n: obs[n][rows] for n, rows in pairs.items()}
+        return {"joint": joint_log_weights(model, obs, num_samples, seed)}
+    per = mixture_split(num_samples)
+    q = ({n: draws[n].q for n in obs} if draws else
+         {n: model.encode_unimodal(n, v).per_row() for n, v in obs.items()})
+    blocks = {}
+    for n in names or sorted(q):
+        own = draws[n] if draws else unimodal_draws(model, n, obs[n], per, seed, q[n])
+        blocks[n] = mixture_block(model, obs, q, n, own, per, pairs)
+    return blocks
 
 
 def bound_from_log_weights(log_w: Tensor, kind: str) -> Tensor:
@@ -113,7 +112,8 @@ class UnimodalDraws:
     Noise is keyed on each row alone under the mixture posterior's stream
     "joint_posterior.<name>".  per_row_normal is counter-based, so the
     first S/M draws of a row are exactly the ones a mixture posterior over
-    M modalities takes from it (MultimodalModel.joint_posterior_samples).
+    M modalities takes from it (MultimodalModel.joint_posterior_samples),
+    and joint_log_weight_blocks scores the joint from them (`draws`).
     """
 
     q: DiagonalGaussian  # per-row parameters viewed as (B, 1, L)
@@ -142,23 +142,6 @@ def unimodal_marginal(draws: UnimodalDraws) -> Tensor:
     likelihood enters the weights.
     """
     return bound_from_log_weights(draws.log_prior + draws.log_lik - draws.log_q, "iwae")
-
-
-def mixture_joint_log_weights(model, obs_by_modality: dict, draws: dict, num_samples: int,
-                              pairs: dict | None = None) -> Tensor:
-    """joint_log_weights of a mixture model from unimodal draws already made, shape (P, S).
-
-    draws[m] holds at least S/M unimodal_draws per row of obs_by_modality[m];
-    pair p is row pairs[m][p] of every modality m (row p without `pairs`).
-    The columns are each modality's mixture_block in name order, so for
-    draws made with `seed` the result is joint_log_weights(model,
-    {m: obs[m][pairs[m]]}, S, seed) up to rounding.
-    """
-    names = [m.name for m in model.modalities]
-    per = mixture_split(num_samples)
-    obs = {n: np.atleast_2d(np.asarray(obs_by_modality[n], dtype=np.float64)) for n in names}
-    q = {n: draws[n].q for n in names}
-    return concat([mixture_block(model, obs, q, n, draws[n], per, pairs) for n in names], axis=1)
 
 
 def mixture_block(model, obs: dict, q: dict, name: str, own: UnimodalDraws, per: int,

@@ -139,7 +139,7 @@ class MultimodalModel:
         q(z | obs_m[p]), with noise keyed on that row alone under the
         stream "joint_posterior.<m>", and log_q[p] is the equal-weight
         mixture density at them.  Pairs that share a row share its draws;
-        bounds.mixture_joint_log_weights scores many pairs from one draw per
+        bounds.joint_log_weight_blocks scores many pairs from one draw per
         row.  num_samples must split evenly (mixture_split).
         """
         if self.joint_kind in ("explicit", "poe"):

@@ -74,12 +74,11 @@ class Objective(NamedTuple):
     """final_objective's value: the loss, its two terms, and the log-weight blocks computed here.
 
     blocks maps each block's name to (its log weights, their columns of
-    dL/d log_w), in name order.  `loss` has those blocks as its parents,
-    each passed its columns, so backward(loss, params) differentiates it
-    in one pass; training takes one backward per block instead.
+    dL/d log_w), in name order; training.block_gradient turns them into
+    the loss's gradient, the only one there is.
     """
 
-    loss: Tensor
+    loss: float
     term1: float
     term2: float
     blocks: dict[str, tuple[Tensor, np.ndarray]]
@@ -120,7 +119,8 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, s
     term1 is the mean positive-pair estimate and term2 the mean symmetrized
     negative log-sum-exp.  In baseline mode the loss is -mean ELBO and term2
     is NaN.  The loss is computed once, from the values of the
-    log_weight_blocks held as a leaf, whose gradient then seeds each block.
+    log_weight_blocks held as a leaf, whose gradient, dL/d log_w, is split
+    into each block's columns for training.block_gradient.
 
     `remote` stands for a peer (see peers) that computes a mixture's last
     block: only the first is computed here.  The head of remote.values
@@ -141,8 +141,7 @@ def final_objective(model, batch: dict[str, np.ndarray], cfg: ObjectiveConfig, s
         remote.values[:seeds[-1].size].reshape(seeds[-1].shape)[...] = seeds[-1]
         remote.send()
     own = {n: (w, s) for (n, w), s in zip(blocks.items(), seeds)}
-    fused = Tensor(loss.value, parents=tuple((w, lambda g, s=s: g * s) for w, s in own.values()))
-    return Objective(fused, term1, term2, own)
+    return Objective(float(loss.value), term1, term2, own)
 
 
 def _loss(log_w: Tensor, batch_size: int, cfg: ObjectiveConfig):

@@ -103,13 +103,22 @@ class Peer:
         raise PeerError("a peer exited before it signalled; its traceback, if any, is on stderr")
 
     def stop(self) -> None:
-        """End the peer wherever it is, reap it, and give the caller back its affinity set."""
-        os.close(self.read_fd)
-        os.close(self.write_fd)
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        _pin(self.affinity)
+        """End the peer wherever it is, reap it, and give the caller back its affinity set.
+
+        Where SIGCHLD is ignored, which a process inherits through exec, the
+        kernel reaps the peer itself once it exits; a reaped peer is stopped,
+        and its pid is never signalled.
+        """
+        try:
+            os.close(self.read_fd)
+            os.close(self.write_fd)
+            with contextlib.suppress(ChildProcessError):  # reaped by the kernel
+                if os.waitpid(self.pid, os.WNOHANG)[0] == 0:  # still running
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(self.pid, signal.SIGKILL)
+                    os.waitpid(self.pid, 0)
+        finally:
+            _pin(self.affinity)
 
 
 def _pin(cpus: set[int]) -> None:

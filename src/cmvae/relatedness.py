@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import (bound_from_log_weights, joint_bound, mixture_joint_log_weights, unimodal_draws,
-                     unimodal_marginal)
+from .autodiff import concat
+from .bounds import bound_from_log_weights, joint_log_weight_blocks, unimodal_draws, unimodal_marginal
 from .data import PairedDataset, random_pairs, subset, subset_rows
 from .peers import Peer, usable_cpus
 
@@ -94,17 +94,15 @@ def pmi(model, obs_by_modality: dict, num_samples: int, seed: int) -> np.ndarray
     """Per-item pointwise mutual information estimate (detached values).
 
     Each modality's rows are drawn once, and its unimodal marginal uses all
-    S draws.  A mixture model's joint uses the first S/M of every
-    modality's draws, which are the mixture posterior's own (see
-    UnimodalDraws); other models estimate the joint apart, at the same seed.
+    S draws.  The joint's log weights come from joint_log_weight_blocks: a
+    mixture model's use the first S/M of every modality's draws, which are
+    the mixture posterior's own (see UnimodalDraws); other models draw the
+    joint apart, at the same seed.
     """
     names = [m.name for m in model.modalities]
     draws = {n: unimodal_draws(model, n, obs_by_modality[n], num_samples, seed) for n in names}
-    if model.joint_kind == "moe":
-        log_w = mixture_joint_log_weights(model, obs_by_modality, draws, num_samples)
-        joint = bound_from_log_weights(log_w, "iwae")
-    else:
-        joint = joint_bound(model, obs_by_modality, "iwae", num_samples, seed)
+    blocks = joint_log_weight_blocks(model, obs_by_modality, num_samples, seed, draws=draws)
+    joint = bound_from_log_weights(concat(list(blocks.values()), axis=1), "iwae")
     mx, my = (unimodal_marginal(draws[n]).value for n in names)
     return joint.value - mx - my
 

@@ -5,11 +5,12 @@ estimator noise are derived from (seed, step), never from accumulated RNG
 state, so restoring a checkpoint and continuing is bit-identical to an
 uninterrupted run.
 
-A step's gradient is a sum of per-block gradients: the loss is computed
-once from the log weights' values (objective.final_objective), and one
-backward per log-weight block, one block per modality for a mixture
-posterior, starts from that block's columns of dL/d log_w; the block
-gradients are summed in name order.  So a train call of at least
+A step's gradient, the objective's only one, is a sum of per-block
+gradients (block_gradient): the loss is computed once from the log
+weights' values (objective.final_objective), and one backward per
+log-weight block, one block per modality for a mixture posterior, starts
+from that block's columns of dL/d log_w; the block gradients are summed in
+name order.  So a train call of at least
 HELPER_MIN_STEPS steps on a mixture model, where the fork rules of
 `peers.usable_cpus` allow it, starts one helper peer before its first step
 that computes the second block of every step on another CPU, with the
@@ -201,9 +202,8 @@ class Adam:
             start = stop
         return out
 
-    def step(self, grads: dict[str, np.ndarray] | np.ndarray) -> None:
-        """One update from gradients keyed like the parameters, or flat (see `flatten`)."""
-        g = self.flatten(grads) if isinstance(grads, dict) else grads
+    def step(self, g: np.ndarray) -> None:
+        """One update from the flat gradient (see `flatten`)."""
         b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.cfg.learning_rate
         self.t += 1
         self._m *= b1
@@ -518,9 +518,9 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
             for step in range(first, last):
                 obs, step_seed = batch(step)
                 loss, term1, term2, blocks = final_objective(model, obs, cfg.objective, step_seed, helper)
-                if not np.isfinite(loss.value):
+                if not np.isfinite(loss):
                     raise NumericalAbort(step, last_good)
-                grad = _block_gradient(blocks.values(), opt)
+                grad = opt.flatten(block_gradient(blocks.values(), opt.params))
                 if helper is not None:  # plus the helper's block gradient, in name order
                     helper.wait()
                     grad = np.add(grad, helper.values[rows:], out=helper.values[rows:])
@@ -530,7 +530,7 @@ def train(cfg: RunConfig, dataset: PairedDataset | None = None,
                     helper.send()  # the helper makes the same update
                 opt.step(grad)
                 state.step = step + 1
-                log.write(csv_line([step, float(loss.value), term1, term2]))
+                log.write(csv_line([step, loss, term1, term2]))
 
                 if cfg.eval_every and state.step % cfg.eval_every == 0:
                     if not _all_finite(p.value for p in model.params.values()):
@@ -555,13 +555,13 @@ def _step_batch(ds: PairedDataset, seed: int, step: int, batch_size: int):
     return ds.pair_observations(rows), int(derive_rng(seed, tag("step_noise"), step).integers(1 << 62))
 
 
-def _block_gradient(blocks, opt: Adam, out: np.ndarray | None = None) -> np.ndarray:
-    """The flat gradient of (block, its columns of dL/d log_w) pairs in name order, as
+def block_gradient(blocks, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """The gradient over `params` of (block, its columns of dL/d log_w) pairs in name order, as
     final_objective returns them: one backward per block, from its columns, summed in order."""
     total = None
     for w, seed in blocks:
-        grad = opt.flatten(backward((w * Tensor.const(seed)).sum(), opt.params), out)
-        total = grad if total is None else total + grad
+        grads = backward((w * Tensor.const(seed)).sum(), params)
+        total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
     return total
 
 
@@ -575,7 +575,7 @@ def _helper_steps(peer: Peer, rows: int, model, opt: Adam, cfg: RunConfig, steps
         block[...] = w.value.reshape(-1)
         peer.send()
         peer.wait()
-        _block_gradient([(w, block.reshape(w.shape))], opt, out=grad)
+        opt.flatten(block_gradient([(w, block.reshape(w.shape))], opt.params), out=grad)
         peer.send()
         peer.wait()
         opt.step(grad)
@@ -609,9 +609,8 @@ def _all_finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
-                        heldout: HeldOut | None = None) -> float:
-    """IWAE estimate of the joint log-likelihood on held-out related pairs, in chunks like score_dataset.
+def mean_heldout_loglik(model, cfg: RunConfig, heldout: HeldOut | None = None) -> float:
+    """IWAE estimate, K=30, of the joint log-likelihood on held-out related pairs, chunked like score_dataset.
 
     Without `heldout`, only the run's held-out related pairs are built.
     """
@@ -621,7 +620,7 @@ def mean_heldout_loglik(model, cfg: RunConfig, num_samples: int = 30,
 
     def score(start, stop):
         rows = {n: v[start:stop] for n, v in obs.items()}
-        return joint_bound(frozen, rows, "iwae", num_samples, cfg.seed + 13).value
+        return joint_bound(frozen, rows, "iwae", 30, cfg.seed + 13).value
 
     return float(relatedness.map_chunks(score, len(related)).mean())
 

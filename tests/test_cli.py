@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,11 +79,11 @@ def test_train_twice_byte_identical_csv(tmp_path):
     cfg_b, path_b = tiny_config_file(tmp_path / "b", steps=5)
     assert main(["train", "--config", path_a]) == 0
     assert main(["train", "--config", path_b]) == 0
-    a = open(os.path.join(cfg_a.output_dir, "t.train.csv"), "rb").read()
-    b = open(os.path.join(cfg_b.output_dir, "t.train.csv"), "rb").read()
+    a = Path(cfg_a.output_dir, "t.train.csv").read_bytes()
+    b = Path(cfg_b.output_dir, "t.train.csv").read_bytes()
     assert a == b
-    ma = open(os.path.join(cfg_a.output_dir, "t.metrics.csv"), "rb").read()
-    mb = open(os.path.join(cfg_b.output_dir, "t.metrics.csv"), "rb").read()
+    ma = Path(cfg_a.output_dir, "t.metrics.csv").read_bytes()
+    mb = Path(cfg_b.output_dir, "t.metrics.csv").read_bytes()
     assert ma == mb
 
 
@@ -90,7 +91,7 @@ def test_sweep_gamma_csv(tmp_path):
     cfg, path = tiny_config_file(tmp_path, steps=2)
     assert main(["sweep-gamma", "--config", path, "--gammas", "1,2"]) == 0
     out = os.path.join(cfg.output_dir, "t.gamma_sweep.csv")
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "# cmvae-sweep-v1"
     assert lines[1].startswith("gamma,step,")
     assert lines[1].endswith(",mean_test_loglik")
@@ -103,7 +104,7 @@ def test_sweep_data_csv(tmp_path):
     assert main(["sweep-data", "--config", path, "--percents", "50,100",
                  "--variants", "baseline,cI", "--seeds", "0"]) == 0
     out = os.path.join(cfg.output_dir, "t.data_sweep.csv")
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[1].startswith("variant,percent,seed,step,")
     assert len(lines) == 2 + 4  # schema + header + 2x2 rows
     assert main(["sweep-data", "--config", path, "--percents", "0",
@@ -165,7 +166,7 @@ def test_uneven_mixture_sample_count_fails_before_writing(tmp_path, capsys):
 def test_eval_reports_unreadable_checkpoint(tmp_path, capsys):
     cfg, path = tiny_config_file(tmp_path, steps=2)
     assert main(["train", "--config", path]) == 0
-    data = open(os.path.join(cfg.output_dir, "t.ckpt"), "rb").read()
+    data = Path(cfg.output_dir, "t.ckpt").read_bytes()
     foreign = np.random.default_rng(0).bytes(len(data))
     other_cfg, other_path = tiny_config_file(tmp_path / "other", steps=0)
     with open(other_path) as fh:
@@ -193,11 +194,11 @@ def test_propagate_writes_report(tmp_path):
     assert main(["propagate", "--config", path, "--pretrain-percent", "30",
                  "--variant", "cI", "--pmi-samples", "4"]) == 0
     report_path = os.path.join(cfg.output_dir, "t.propagation.json")
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     assert set(report) == {"threshold", "precision", "recall", "f1", "n_predicted",
                            "metrics_before", "metrics_after"}
     csv_path = os.path.join(cfg.output_dir, "t.propagation.csv")
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[1].startswith("phase,run_id,")
     assert lines[2].startswith("before,") and lines[3].startswith("after,")
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cmvae.autodiff import Tensor, backward
+from cmvae.autodiff import Tensor, backward, concat
 from cmvae import bounds, distributions, objective, relatedness
 from cmvae.data import FactorSpec, generate_unimodal
 from cmvae.models import ModalitySpec, build_model
 from cmvae.objective import ObjectiveConfig, draw_negatives, final_objective
+from cmvae.training import block_gradient
 from gradcheck import finite_difference_check
 
 
@@ -147,8 +148,8 @@ def test_final_objective_algebraic_identity():
     model, obs = patched_const_model(-10.0, batch=8)
     cfg = ObjectiveConfig.for_variant("cI", gamma=2.0, num_negatives=5, num_samples=3)
     loss, term1, term2, _ = final_objective(model, obs, cfg, seed=4)
-    assert float(loss.value) == pytest.approx(10.0 + math.log(5.0), abs=1e-9)
-    assert float(loss.value) == pytest.approx(11.609438, abs=1e-6)
+    assert loss == pytest.approx(10.0 + math.log(5.0), abs=1e-9)
+    assert loss == pytest.approx(11.609438, abs=1e-6)
     assert term1 == pytest.approx(-10.0, abs=1e-9)
     assert term2 == pytest.approx(-10.0 + math.log(5.0), abs=1e-9)
 
@@ -159,7 +160,7 @@ def test_final_objective_baseline_sentinel():
     for gamma, n_neg in ((2.0, 5), (64.0, 0)):
         cfg = ObjectiveConfig.for_variant("baseline", gamma, n_neg, num_samples=3)
         loss, term1, term2, _ = final_objective(model, obs, cfg, seed=1)
-        assert float(loss.value) == pytest.approx(7.5, abs=1e-9)
+        assert loss == pytest.approx(7.5, abs=1e-9)
         assert term1 == pytest.approx(-7.5, abs=1e-9) and math.isnan(term2)
 
 
@@ -169,7 +170,7 @@ def test_final_objective_gamma_one_is_plain_contrastive():
     obs = {"m1": rng.standard_normal((7, 4)), "m2": rng.standard_normal((7, 4))}
     cfg1 = ObjectiveConfig.for_variant("cI", gamma=1.0, num_samples=4)
     loss, term1, term2, _ = final_objective(model, obs, cfg1, seed=8)
-    assert float(loss.value) == pytest.approx(term2 - term1, abs=1e-9)
+    assert loss == pytest.approx(term2 - term1, abs=1e-9)
 
 
 def test_final_objective_affine_shift_equivariance():
@@ -180,7 +181,7 @@ def test_final_objective_affine_shift_equivariance():
     cfg = ObjectiveConfig.for_variant("cI", gamma=gamma, num_negatives=5, num_samples=2)
     la, _, _, _ = final_objective(a, obs, cfg, seed=3)
     lb, _, _, _ = final_objective(b, obs, cfg, seed=3)
-    assert float(lb.value) - float(la.value) == pytest.approx((1 - gamma) * c, abs=1e-9)
+    assert lb - la == pytest.approx((1 - gamma) * c, abs=1e-9)
 
 
 def test_final_objective_batch_must_exceed_negatives():
@@ -203,7 +204,7 @@ def test_modality_swap_invariance_bit_exact():
     cfg = ObjectiveConfig.for_variant("cI", num_samples=4)
     la, t1a, t2a, _ = final_objective(fwd, obs, cfg, seed=11)
     lb, t1b, t2b, _ = final_objective(rev, obs, cfg, seed=11)
-    assert float(la.value) == float(lb.value)
+    assert la == lb
     assert t1a == t1b and t2a == t2b
 
 
@@ -244,6 +245,19 @@ def per_direction_objective(model, obs, cfg, seed):
     return (-cfg.gamma * pos + contrast).mean(), float(pos.mean().value), float(contrast.mean().value)
 
 
+def paired_log_weights(model, obs, num_samples, seed, pairs, draws=None):
+    """All of joint_log_weight_blocks' columns, in name order."""
+    blocks = bounds.joint_log_weight_blocks(model, obs, num_samples, seed, pairs, draws=draws)
+    return concat(list(blocks.values()), axis=1)
+
+
+def objective_gradient_error(model, obs, cfg, seed):
+    """finite_difference_check of final_objective's loss against block_gradient, which train applies."""
+    blocks = final_objective(model, obs, cfg, seed).blocks
+    return finite_difference_check(lambda params: final_objective(model, obs, cfg, seed).loss, model.params,
+                                   grads=block_gradient(blocks.values(), model.params))
+
+
 @pytest.mark.parametrize("likelihoods", [("gaussian", "gaussian"), ("bernoulli", "bernoulli"),
                                          ("bernoulli", "gaussian")])
 @pytest.mark.parametrize("kind", ["iwae", "cubo"])
@@ -251,7 +265,7 @@ def test_moe_pair_matrix_matches_direct_bound(likelihoods, kind):
     model = perturbed_model(likelihoods=likelihoods, seed=4)
     obs = pair_batch(model, 5, seed=5)
     rows, cols = np.divmod(np.arange(25), 5)
-    log_w = bounds.joint_log_weights(model, obs, 6, seed=9, pairs={"m1": rows, "m2": cols})
+    log_w = paired_log_weights(model, obs, 6, 9, {"m1": rows, "m2": cols})
     matrix = bounds.bound_from_log_weights(log_w, kind).value
     for p, (i, j) in enumerate(zip(rows, cols)):
         direct = bounds.joint_bound(model, {"m1": obs["m1"][i:i + 1], "m2": obs["m2"][j:j + 1]},
@@ -268,11 +282,11 @@ def test_final_objective_matches_per_direction_scoring(joint_kind, variant):
     model = perturbed_model(joint_kind=joint_kind, seed=6)
     obs = pair_batch(model, 7, seed=7)
     cfg = ObjectiveConfig.for_variant(variant, num_negatives=3, num_samples=4)
-    loss, term1, term2, _ = final_objective(model, obs, cfg, seed=12)
-    grads = backward(loss, model.params)
+    loss, term1, term2, blocks = final_objective(model, obs, cfg, seed=12)
+    grads = block_gradient(blocks.values(), model.params)
     ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=12)
     ref_grads = backward(ref_loss, model.params)
-    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
+    assert loss == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
     assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
     for k in grads:
         np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-9, atol=1e-12, err_msg=k)
@@ -283,8 +297,7 @@ def test_final_objective_moe_gradients_match_finite_differences():
     obs = pair_batch(model, 4, seed=10)
     obs["m1"] = 0.2 + 0.6 * obs["m1"]
     cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
-    assert finite_difference_check(lambda params: final_objective(model, obs, cfg, seed=5)[0],
-                                   model.params) < 1e-5
+    assert objective_gradient_error(model, obs, cfg, seed=5) < 1e-5
 
 
 def test_moe_objective_scores_own_terms_once_per_row(monkeypatch):
@@ -325,19 +338,19 @@ def test_moe_pair_log_weights_match_gathered_rows(likelihoods, monkeypatch):
     pairs = {"m1": rng.integers(0, 6, 40), "m2": rng.integers(0, 6, 40)}  # rows and pairs repeat
     gathered = {n: obs[n][rows] for n, rows in pairs.items()}
     ref = bounds.joint_log_weights(model, gathered, 6, seed=14).value
-    log_w = bounds.joint_log_weights(model, obs, 6, seed=14, pairs=pairs).value
+    log_w = paired_log_weights(model, obs, 6, 14, pairs).value
     np.testing.assert_allclose(log_w, ref, rtol=1e-12, atol=0)
     # draws with more than S/M per row, as PMI scoring makes them, give up their first S/M
     draws = {n: bounds.unimodal_draws(model, n, obs[n], 6, seed=14) for n in obs}
-    np.testing.assert_allclose(bounds.mixture_joint_log_weights(model, obs, draws, 6, pairs).value,
+    np.testing.assert_allclose(paired_log_weights(model, obs, 6, 14, pairs, draws).value,
                                ref, rtol=1e-12, atol=0)
     short = {n: bounds.unimodal_draws(model, n, obs[n], 2, seed=14) for n in obs}
     with pytest.raises(ValueError, match="need 3"):
-        bounds.mixture_joint_log_weights(model, obs, short, 6, pairs)
+        paired_log_weights(model, obs, 6, 14, pairs, short)
     encoded = []  # an uneven split fails before any row is encoded
     monkeypatch.setattr(model, "encode_unimodal", lambda *args: encoded.append(args))
     with pytest.raises(ValueError, match="divisible by 2"):
-        bounds.joint_log_weights(model, obs, 5, seed=14, pairs=pairs)
+        paired_log_weights(model, obs, 5, 14, pairs)
     assert encoded == []
 
 
@@ -381,11 +394,10 @@ def test_all_in_batch_negatives(monkeypatch):
         for anchor, rows in enumerate(pairs[replaced][block].reshape(batch, batch - 1)):
             assert sorted(rows) == [j for j in anchors if j != anchor]
     ref_loss, ref1, ref2 = per_direction_objective(model, obs, cfg, seed=16)
-    assert float(loss.value) == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
+    assert loss == pytest.approx(float(ref_loss.value), rel=1e-12, abs=0.0)
     assert term1 == pytest.approx(ref1, rel=1e-12) and term2 == pytest.approx(ref2, rel=1e-12)
     tiny = perturbed_model(likelihoods=("bernoulli", "gaussian"), seed=17, obs_dim=2)
     tiny_obs = pair_batch(tiny, 3, seed=17)
     tiny_obs["m1"] = 0.2 + 0.6 * tiny_obs["m1"]
     tiny_cfg = ObjectiveConfig.for_variant("cI", num_negatives=2, num_samples=4)
-    assert finite_difference_check(lambda params: final_objective(tiny, tiny_obs, tiny_cfg, seed=18)[0],
-                                   tiny.params) < 1e-5
+    assert objective_gradient_error(tiny, tiny_obs, tiny_cfg, seed=18) < 1e-5

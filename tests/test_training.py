@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvae.bounds import bound_from_log_weights, joint_bound, joint_log_weights
-from cmvae.data import FactorSpec
+from cmvae.data import FactorSpec, generate_unimodal, pair_random
 from cmvae import evaluation, relatedness, training
 from cmvae.evaluation import make_oracle
 from cmvae.models import ModalitySpec, build_model
@@ -43,8 +43,9 @@ from cmvae.training import (
     save_checkpoint,
     train,
     TrainState,
+    block_gradient,
 )
-from cmvae.autodiff import Tensor, backward
+from cmvae.autodiff import Tensor
 from cmvae.relatedness import PropagationConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -68,7 +69,7 @@ def test_adam_matches_reference_update():
     p = {"w": Tensor.param(np.array([1.0, -2.0]))}
     opt = Adam(p, OptimizerConfig(learning_rate=0.1))
     g = {"w": np.array([0.5, -1.5])}
-    opt.step(g)
+    opt.step(opt.flatten(g))
     m_hat = (0.1 * g["w"]) / (1 - 0.9)
     v_hat = (0.001 * g["w"] ** 2) / (1 - 0.999)
     expect = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -85,7 +86,7 @@ def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
     opt = Adam(params, OptimizerConfig(learning_rate=0.01))
     for t in range(1, 4):
         grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
-        opt.step(grads if t % 2 else opt.flatten(grads))
+        opt.step(opt.flatten(grads))
         for k, g in grads.items():  # the update as written per parameter
             m[k] = 0.9 * m[k] + (1 - 0.9) * g
             v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -225,7 +226,7 @@ def test_truncated_checkpoint_is_reported(tmp_path):
     state = TrainState(step=3, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=1)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(state, path)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     # inside the magic/version header, inside the name table, inside the arrays
     for keep in (3, 9, 13 + 6, len(data) - 3):
         cut = str(tmp_path / f"cut{keep}.ckpt")
@@ -242,7 +243,7 @@ def test_checkpoint_write_replaces_atomically(tmp_path, monkeypatch):
     state = TrainState(step=3, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=1)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(state, path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
 
     def failing_replace(src, dst):
         raise OSError("simulated crash before the rename")
@@ -251,7 +252,7 @@ def test_checkpoint_write_replaces_atomically(tmp_path, monkeypatch):
     state.step = 4
     with pytest.raises(OSError):
         save_checkpoint(state, path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
@@ -259,7 +260,7 @@ def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
     state = train(cfg, evaluate=False)
     assert state.step == 0
     assert os.path.exists(os.path.join(cfg.output_dir, "t.step0.ckpt"))
-    log = open(os.path.join(cfg.output_dir, "t.train.csv")).read().splitlines()
+    log = Path(cfg.output_dir, "t.train.csv").read_text().splitlines()
     assert log[0].startswith("#") and len(log) == 2  # schema + header, no rows
 
 
@@ -268,8 +269,8 @@ def test_training_runs_deterministically(tmp_path):
     cfg_b = tiny_config(tmp_path / "b", steps=6)
     train(cfg_a, evaluate=False)
     train(cfg_b, evaluate=False)
-    a = open(os.path.join(cfg_a.output_dir, "t.train.csv")).read()
-    b = open(os.path.join(cfg_b.output_dir, "t.train.csv")).read()
+    a = Path(cfg_a.output_dir, "t.train.csv").read_text()
+    b = Path(cfg_b.output_dir, "t.train.csv").read_text()
     assert a.replace(str(cfg_a.output_dir), "") == b.replace(str(cfg_b.output_dir), "")
 
 
@@ -281,7 +282,7 @@ def test_train_releases_gradients_and_ignores_stale_ones(tmp_path):
     assert not any(hasattr(p, "grad") for p in state.model.params.values())
     model = build_model_from_config(cfg)
     obs = build_dataset(cfg).pair_observations(np.arange(12))
-    training.backward(training.final_objective(model, obs, cfg.objective, 1)[0], model.params)
+    block_gradient(final_objective(model, obs, cfg.objective, 1).blocks.values(), model.params)
     stale = TrainState(step=0, model=model, optimizer=Adam(model.params, cfg.optimizer), seed=cfg.seed)
     train(replace(cfg, output_dir=str(tmp_path / "b")), state=stale, evaluate=False)
     for k, p in state.model.params.items():
@@ -395,6 +396,37 @@ def test_a_failed_fork_trains_in_one_process_and_leaves_nothing_open(tmp_path, m
 
 
 @forked_helper
+def test_peers_that_the_kernel_reaps_stop_cleanly(tmp_path, monkeypatch, helpers, all_reaped):
+    # With SIGCHLD ignored, as a parent process or an embedding program may
+    # leave it, the kernel reaps each peer itself and waitpid finds no child.
+    spec = FactorSpec(num_classes=3, obs_dims=(5, 4), private_dims=(1, 1))
+    pools = [generate_unimodal(spec, 115, name, seed) for name, seed in (("m1", 1), ("m2", 2))]
+    mixed = pair_random(spec, *pools, seed=3)
+    model = build_model([ModalitySpec("m1", 5, "bernoulli"), ModalitySpec("m2", 4, "bernoulli")],
+                        latent_dim=2, hidden_dim=8, seed=0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = relatedness.score_dataset(model, mixed, 6, seed=4, chunk=7)
+    normal = train(tiny_config(tmp_path / "one", steps=6), evaluate=False).model.params
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pins, real_pin = [], os.sched_setaffinity
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, s: pins.append(set(s)) or real_pin(pid, s))
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        scores = relatedness.score_dataset(model, mixed, 6, seed=4, chunk=7)
+        assert pins == [{0}, {0, 1}]  # pinned while the peer ran, then given back
+        cfg = tiny_config(tmp_path / "two", steps=6)
+        params = {k: p.value for k, p in train(cfg, evaluate=False).model.params.items()}
+        assert pins[2:] == [{0}, {0, 1}]
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert np.array_equal(scores, one)
+    saved = read_checkpoint(os.path.join(cfg.output_dir, "t.ckpt"))
+    for k, p in normal.items():
+        assert np.array_equal(params[k], p.value) and np.array_equal(saved[k], p.value), k
+    assert len(helpers) == 2 and all_reaped(helpers)
+
+
+@forked_helper
 def test_checkpoint_restore_equals_uninterrupted_with_the_helper(tmp_path, helper_forks, all_reaped):
     restore_equals_uninterrupted(tmp_path)
     assert len(helper_forks) == 3 and all_reaped(helper_forks)
@@ -482,7 +514,7 @@ def test_train_loss_decreases_on_tiny_problem(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=120, variant="baseline")
     train(cfg, evaluate=False)
     rows = [line.split(",") for line in
-            open(os.path.join(cfg.output_dir, "t.train.csv")).read().splitlines()[2:]]
+            Path(cfg.output_dir, "t.train.csv").read_text().splitlines()[2:]]
     first = np.mean([float(r[1]) for r in rows[:10]])
     last = np.mean([float(r[1]) for r in rows[-10:]])
     assert last < first
@@ -503,9 +535,9 @@ def train_on_linear_oracle(joint_kind: str, seed: int = 0):
     rng = np.random.default_rng(seed)
     for step in range(400):
         rows = rng.choice(2000, 64, replace=False)
-        loss, _, _, _ = final_objective(model, {n: data[n][rows] for n in names}, objective, seed=step)
+        blocks = final_objective(model, {n: data[n][rows] for n in names}, objective, seed=step).blocks
         before = {k: p.value for k, p in model.params.items()}
-        adam.step(backward(loss, model.params))
+        adam.step(adam.flatten(block_gradient(blocks.values(), model.params)))
         if step == 0:
             first_move = max(np.abs(p.value - before[k]).max() for k, p in model.params.items())
     test = oracle.sample_pairs(1000, seed + 1000)
@@ -545,7 +577,7 @@ def test_metrics_csv_schema(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=2)
     train(cfg, evaluate=True)
     path = os.path.join(cfg.output_dir, "t.metrics.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# cmvae-metrics-v2"
     header = lines[1].split(",")
     assert header == ["run_id", "step", "latent_acc_m1", "latent_acc_m2", "joint_coh",
@@ -559,16 +591,16 @@ def test_metrics_csv_schema(tmp_path):
 def test_heldout_loglik_finite(tmp_path):
     cfg = tiny_config(tmp_path / "runs", steps=2)
     state = train(cfg, evaluate=False)
-    val = mean_heldout_loglik(state.model, cfg, num_samples=4)
+    val = mean_heldout_loglik(state.model, cfg)
     assert np.isfinite(val)
 
 
 def test_heldout_loglik_builds_only_the_related_pairs(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path / "runs")
     model = build_model_from_config(cfg)
-    shared = mean_heldout_loglik(model, cfg, num_samples=4, heldout=heldout_sets(cfg))
+    shared = mean_heldout_loglik(model, cfg, heldout=heldout_sets(cfg))
     monkeypatch.setattr(training, "heldout_sets", lambda c: pytest.fail("built the mixed set and oracles"))
-    assert mean_heldout_loglik(model, cfg, num_samples=4) == shared
+    assert mean_heldout_loglik(model, cfg) == shared
 
 
 def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatch):
@@ -578,7 +610,7 @@ def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatc
     model = train(cfg, evaluate=False).model
     sets = heldout_sets(cfg)
     obs = sets.related.pair_observations()
-    whole = training.joint_bound(model.frozen(), obs, "iwae", 4, cfg.seed + 13).value.mean()
+    whole = training.joint_bound(model.frozen(), obs, "iwae", 30, cfg.seed + 13).value.mean()
     rows = []
     joint_bound = training.joint_bound
 
@@ -587,7 +619,7 @@ def test_heldout_loglik_scored_in_chunks_like_score_dataset(tmp_path, monkeypatc
         return joint_bound(model, obs, kind, num_samples, seed)
 
     monkeypatch.setattr(training, "joint_bound", counting)
-    assert mean_heldout_loglik(model, cfg, num_samples=4, heldout=sets) == pytest.approx(whole, rel=1e-12)
+    assert mean_heldout_loglik(model, cfg, heldout=sets) == pytest.approx(whole, rel=1e-12)
     assert rows == [relatedness.CHUNK_PAIRS] * 2 + [150 - 2 * relatedness.CHUNK_PAIRS]
 
 
@@ -617,7 +649,7 @@ def test_unsorted_modality_names_reach_their_own_networks(tmp_path):
 def test_unsorted_modality_names_of_unequal_dims_train_and_evaluate(tmp_path):
     cfg = unsorted_config(tmp_path / "runs", obs_dims=(16, 12), steps=2)
     train(cfg, evaluate=True)
-    lines = open(os.path.join(cfg.output_dir, "t.metrics.csv")).read().splitlines()
+    lines = Path(cfg.output_dir, "t.metrics.csv").read_text().splitlines()
     assert len(lines) == 3 and lines[2].startswith("t,2,")
 
 
@@ -625,7 +657,7 @@ def test_metric_columns_name_their_modalities(tmp_path):
     cfg = unsorted_config(tmp_path / "runs", obs_dims=(16, 12), steps=2)
     model = train(cfg).model
     header, row = (line.split(",") for line in
-                   open(os.path.join(cfg.output_dir, "t.metrics.csv")).read().splitlines()[1:])
+                   Path(cfg.output_dir, "t.metrics.csv").read_text().splitlines()[1:])
     assert header == ["run_id", "step", "latent_acc_b", "latent_acc_a", "joint_coh", "cross_coh_b_to_a",
                       "cross_coh_a_to_b", "synergy_coh", "mean_pmi_related", "mean_pmi_unrelated"]
     related = heldout_sets(cfg).related
